@@ -267,10 +267,25 @@ def cmd_trace(args) -> None:
     print(f"wrote {len(spans)} span(s) to {out} as {kind}")
 
 
+def _stop_on_sigint_and_sigterm() -> None:
+    """Send SIGINT and SIGTERM down the KeyboardInterrupt shutdown path.
+
+    SIGINT is re-armed because a server started with ``&`` from a
+    non-interactive shell inherits it ignored.  SIGTERM re-raises itself
+    as SIGINT, so it drains the pool (or stops the cluster) too, instead
+    of killing the main process alone and orphaning its children.
+    """
+    import signal
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: signal.raise_signal(signal.SIGINT))
+
+
 def cmd_serve(args) -> None:
     """Run the compile-and-execute service until interrupted."""
     import asyncio
     from repro.serve import ServeConfig, run_server
+    _stop_on_sigint_and_sigterm()
     cache_dir = None if args.no_cache else args.cache_dir
     config = ServeConfig(host=args.host, port=args.port,
                          workers=args.workers, cache_dir=cache_dir,
@@ -320,16 +335,19 @@ def _serve_cluster(args, template) -> None:
                             workers_per_shard=max(args.workers, 1),
                             root=root)
     supervisor = ClusterSupervisor(cluster)
-    port = supervisor.start()
-    assert supervisor.store is not None
-    print(f"frodo serve: cluster router listening on {args.host}:{port} "
-          f"({args.cluster} shard(s) × {cluster.workers_per_shard} "
-          f"worker(s), store {supervisor.store.address}, root {root})",
-          flush=True)
-    for name, shard_port in supervisor.shard_ports().items():
-        print(f"frodo serve:   shard {name} on 127.0.0.1:{shard_port}",
-              flush=True)
+    # Guarded from the first spawn on: an interrupt while shards boot
+    # must still reach supervisor.stop().
     try:
+        port = supervisor.start()
+        assert supervisor.store is not None
+        print(f"frodo serve: cluster router listening on "
+              f"{args.host}:{port} "
+              f"({args.cluster} shard(s) × {cluster.workers_per_shard} "
+              f"worker(s), store {supervisor.store.address}, root {root})",
+              flush=True)
+        for name, shard_port in supervisor.shard_ports().items():
+            print(f"frodo serve:   shard {name} on 127.0.0.1:{shard_port}",
+                  flush=True)
         while True:
             _time.sleep(1.0)
     except KeyboardInterrupt:

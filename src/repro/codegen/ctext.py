@@ -1,30 +1,32 @@
 """C99 emission from the loop IR.
 
-Produces a self-contained translation unit with:
+Produces a self-contained translation unit with one caller-owned ABI:
 
-* ``static`` const/state/temp arrays (state arrays carry initializers);
-* ``void <name>_init(void)`` restoring **every** mutable static buffer —
-  state initializers are replayed element by element, uninitialized
-  state and temp arrays are ``memset`` back to all-bits-zero (bitwise
-  identical to the VM's ``_fill_initial``), and then the program's init
-  statements run.  A single loaded shared object can therefore serve
-  many independent requests: calling ``_init`` between runs is
-  equivalent to a fresh process image;
-* ``void <name>_step(const T* in..., T* out...)`` with the step body;
-* batched entry points ``<name>_init_batch`` / ``<name>_step_batch``
-  (``int64_t nb`` + pointers for input/output/state/temp arrays holding
-  ``nb`` consecutive instances each, ``max(size, 1)`` elements per
-  instance) evaluating ``nb`` independent model instances per call.
-  Unlike the singleton entries, batched state lives in *caller* arrays —
-  the file-scope statics are untouched, so batched runs of two VMs over
-  one loaded image can never alias (``const`` tables stay shared statics:
-  they are read-only).  Bodies are the program's statements with every
-  non-const access rewritten to ``index + __b * stride`` inside a loop
-  over instances; §5 generic-function calls are inlined first
-  (:func:`repro.ir.batch.inline_calls`) so callee accesses get the same
-  rewrite.  One compiled object therefore serves any batch size.
+* ``static const`` arrays for ``const`` tables — the only file-scope
+  arrays; no mutable file-scope array exists, so one loaded image holds
+  no model state;
+* ``void <name>_init(int64_t nb, void *const *bufs)`` and
+  ``void <name>_step(int64_t nb, void *const *bufs)``, the only external
+  symbols.  ``bufs`` holds one pointer per input, output, state and temp
+  buffer, in :func:`abi_buffers` order; each pointer addresses ``nb``
+  consecutive instances of ``max(size, 1)`` elements, and no two
+  pointers' arrays overlap.  Each entry loops over the instances and
+  calls a ``static`` per-instance function, ``<name>__init`` /
+  ``<name>__step``, whose ``restrict`` parameters are that instance's
+  base pointers, named after the buffers — so the program's statements
+  are emitted once, unchanged;
+* ``_init`` is a full per-instance reset: state initializers are
+  replayed element by element, uninitialized state and temp arrays are
+  ``memset`` to all-bits-zero (bitwise identical to the VM's
+  ``_fill_initial``), then the program's init statements run.  Calling
+  ``_init`` on an instance is equivalent to a fresh one;
+* §5 generic functions stay real ``static`` functions.  Call sites pass
+  the per-instance base pointers (``const`` tables are shared by every
+  instance), so a callee that names a state or temp buffer directly
+  instead of through a parameter does not compile.
 
-The emitted source compiles with the sandbox's ``gcc -std=c11 -O3`` and is
+Running one instance is ``nb = 1``; one compiled object serves any
+batch size.  The emitted source compiles with ``gcc -std=c11 -O3`` and is
 exercised end-to-end by :mod:`repro.native`.
 """
 
@@ -170,8 +172,9 @@ def _array_initializer(decl: BufferDecl) -> str:
     ) + "}"
 
 
-def _declare_static(decl: BufferDecl, qualifier: str = "static") -> str:
-    base = f"{qualifier} {c_type(decl.dtype)} {decl.name}[{max(decl.size, 1)}]"
+def _declare_const(decl: BufferDecl) -> str:
+    base = (f"static const {c_type(decl.dtype)} "
+            f"{decl.name}[{max(decl.size, 1)}]")
     if decl.init is not None:
         return f"{base} = {_array_initializer(decl)};"
     return f"{base};"
@@ -193,6 +196,49 @@ def _emit_function(func: FuncDef) -> list[str]:
     return lines
 
 
+#: Buffer kinds behind the ``bufs`` pointer table, in table order.
+_ABI_KINDS = ("input", "output", "state", "temp")
+
+
+def abi_buffers(program: Program) -> list[BufferDecl]:
+    """The buffers of the native ABI's ``bufs`` table, in table order.
+
+    Every input, output, state and temp buffer, kind by kind, each kind
+    in declaration order.  ``const`` tables are not in the table: they
+    stay ``static const`` arrays shared by all instances.
+    """
+    return [decl for kind in _ABI_KINDS
+            for decl in program.buffers_of_kind(kind)]
+
+
+def _emit_entry(program: Program, entry: str, prologue: list[str],
+                body: list[Stmt]) -> list[str]:
+    """One ABI entry point and the per-instance function it loops over.
+
+    The per-instance function takes every table buffer as a ``restrict``
+    parameter — the table's arrays never overlap — so gcc optimizes the
+    body as it would over distinct static arrays.
+    """
+    decls = abi_buffers(program)
+    types = [("const " if d.kind == "input" else "") + c_type(d.dtype)
+             for d in decls]
+    params = ", ".join(f"{t}* restrict {d.name}"
+                       for t, d in zip(types, decls))
+    instance = f"{program.name}__{entry}"
+    lines = [f"static void {instance}({params or 'void'}) {{"]
+    lines.extend(f"    {line}" for line in prologue)
+    for stmt in body:
+        lines.extend(emit_stmt(stmt, 1))
+    args = ", ".join(f"({t}*)bufs[{k}] + __b * {max(d.size, 1)}"
+                     for k, (t, d) in enumerate(zip(types, decls)))
+    lines += ["}", "",
+              f"void {program.name}_{entry}(int64_t nb, void *const *bufs) {{",
+              "    for (int64_t __b = 0; __b < nb; __b++)",
+              f"        {instance}({args});",
+              "}", ""]
+    return lines
+
+
 def emit_c(program: Program) -> str:
     """Emit the full translation unit for a program."""
     from repro.ir.fuse import lower_windows  # local: fuse imports ops too
@@ -204,131 +250,29 @@ def emit_c(program: Program) -> str:
     lines.append("")
 
     for decl in program.buffers_of_kind("const"):
-        lines.append(_declare_static(decl, "static const"))
-    for decl in program.buffers_of_kind("state"):
-        lines.append(_declare_static(decl))
-    for decl in program.buffers_of_kind("temp"):
-        lines.append(_declare_static(decl))
+        lines.append(_declare_const(decl))
     lines.append("")
 
     for func in program.functions.values():
         lines.extend(_emit_function(func))
         lines.append("")
 
-    # init: full reset of every mutable static buffer (initializers
+    # init: full reset of every state and temp buffer (initializers
     # replayed, everything else zeroed — IEEE-754 zero is all-bits-zero,
     # so memset matches the VM's `buffer[:] = 0` bitwise), then replay
-    # program.init.  Repeated _init calls on one loaded image must be
-    # indistinguishable from a fresh process start.
-    lines.append(f"void {program.name}_init(void) {{")
+    # program.init.
+    reset: list[str] = []
     for kind in ("state", "temp"):
         for decl in program.buffers_of_kind(kind):
             if decl.init is None:
-                lines.append(f"    memset({decl.name}, 0, "
-                             f"sizeof {decl.name});")
+                reset.append(f"memset({decl.name}, 0, {max(decl.size, 1)}"
+                             f" * sizeof *{decl.name});")
                 continue
             values = np.asarray(decl.init, dtype=decl.dtype).ravel()
             for i, v in enumerate(values):
                 literal = _c_literal(v.item() if hasattr(v, "item") else v,
                                      decl.dtype)
-                lines.append(f"    {decl.name}[{i}] = {literal};")
-    for stmt in program.init:
-        lines.extend(emit_stmt(stmt, 1))
-    lines.append("}")
-    lines.append("")
-
-    params: list[str] = []
-    for decl in program.buffers_of_kind("input"):
-        params.append(f"const {c_type(decl.dtype)}* {decl.name}")
-    for decl in program.buffers_of_kind("output"):
-        params.append(f"{c_type(decl.dtype)}* {decl.name}")
-    signature = ", ".join(params) if params else "void"
-    lines.append(f"void {program.name}_step({signature}) {{")
-    for stmt in program.step:
-        lines.extend(emit_stmt(stmt, 1))
-    lines.append("}")
-    lines.append("")
-    lines.extend(_emit_batch_entries(program))
+                reset.append(f"{decl.name}[{i}] = {literal};")
+    lines.extend(_emit_entry(program, "init", reset, program.init))
+    lines.extend(_emit_entry(program, "step", [], program.step))
     return "\n".join(lines)
-
-
-#: Buffer kinds that become per-instance parameters of the batched entry
-#: points, in ABI order (const tables stay shared file-scope statics).
-_BATCH_PARAM_KINDS = ("input", "output", "state", "temp")
-
-
-def _emit_batch_entries(program: Program) -> list[str]:
-    """Emit ``<name>_init_batch`` / ``<name>_step_batch``.
-
-    Both take ``(int64_t nb, <pointers>)`` with one pointer per
-    input/output/state/temp buffer, each an array of ``nb`` instances of
-    ``max(size, 1)`` elements.  State/temp parameter names shadow the
-    file-scope statics, so the rewritten bodies resolve every access to
-    the caller's arrays.  ``init_batch`` performs the same full reset as
-    ``_init``, per instance, before replaying the program's init
-    statements.
-    """
-    from repro.ir.batch import (batch_stride, fresh_batch_var, inline_calls,
-                                offset_stmt, BatchUnsupported)
-
-    params: list[str] = [f"int64_t {program.name}__nb"]
-    nb = f"{program.name}__nb"
-    for kind in _BATCH_PARAM_KINDS:
-        for decl in program.buffers_of_kind(kind):
-            qualifier = "const " if kind == "input" else ""
-            params.append(f"{qualifier}{c_type(decl.dtype)}* {decl.name}")
-
-    bvar = fresh_batch_var(program)
-    strides = {decl.name: batch_stride(decl)
-               for kind in _BATCH_PARAM_KINDS
-               for decl in program.buffers_of_kind(kind)}
-    try:
-        init_body = inline_calls(program.init, program)
-        step_body = inline_calls(program.step, program)
-    except BatchUnsupported as exc:
-        raise CodegenError(f"cannot emit batched entry points: {exc}") from exc
-
-    def batch_loop(inner: list[str], prologue: list[str]) -> list[str]:
-        if not inner:
-            return prologue
-        return prologue + [
-            f"    for (int64_t {bvar} = 0; {bvar} < {nb}; {bvar}++) {{",
-            *inner,
-            "    }",
-        ]
-
-    lines: list[str] = []
-    signature = ", ".join(params)
-
-    lines.append(f"void {program.name}_init_batch({signature}) {{")
-    prologue: list[str] = []
-    replay: list[str] = []
-    for kind in ("state", "temp"):
-        for decl in program.buffers_of_kind(kind):
-            stride = batch_stride(decl)
-            if decl.init is None:
-                prologue.append(
-                    f"    memset({decl.name}, 0, (size_t){nb} * {stride}"
-                    f" * sizeof *{decl.name});")
-                continue
-            values = np.asarray(decl.init, dtype=decl.dtype).ravel()
-            for i, v in enumerate(values):
-                literal = _c_literal(v.item() if hasattr(v, "item") else v,
-                                     decl.dtype)
-                replay.append(f"        {decl.name}"
-                              f"[{i} + ({bvar} * {stride})] = {literal};")
-    inner = list(replay)
-    for stmt in init_body:
-        inner.extend(emit_stmt(offset_stmt(stmt, bvar, strides), 2))
-    lines.extend(batch_loop(inner, prologue))
-    lines.append("}")
-    lines.append("")
-
-    lines.append(f"void {program.name}_step_batch({signature}) {{")
-    inner = []
-    for stmt in step_body:
-        inner.extend(emit_stmt(offset_stmt(stmt, bvar, strides), 2))
-    lines.extend(batch_loop(inner, []))
-    lines.append("}")
-    lines.append("")
-    return lines

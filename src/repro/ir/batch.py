@@ -36,10 +36,10 @@ Programs using the §5 generic-function interface (``CallStmt``) are
 refused with :class:`BatchUnsupported` — inlining the callees would
 change dynamic counts, breaking the exact-counts contract — and the VM
 falls back to B sequential runs (correct and exact, just not faster).
-The *native* backend has no such restriction: its batched C entry points
-(:func:`repro.codegen.ctext.emit_c`) inline callees with
-:func:`inline_calls` below, because native counts are analytic
-(``staticcount`` × B) rather than derived from execution.
+The *native* backend has no such restriction: its one C ABI
+(:func:`repro.codegen.ctext.emit_c`) runs any number of instances per
+call and passes callees per-instance base pointers, and its counts are
+analytic (``staticcount`` × B) rather than derived from execution.
 
 Precondition (shared with the flat IR itself): indices stay in
 ``[0, size)``.  A negative index would wrap into a *neighbouring
@@ -86,20 +86,6 @@ def batch_stride(decl: BufferDecl) -> int:
     return max(decl.size, 1)
 
 
-def _loop_vars(stmts: list[Stmt]) -> set[str]:
-    seen: set[str] = set()
-    stack = list(stmts)
-    while stack:
-        s = stack.pop()
-        if isinstance(s, For):
-            seen.add(s.var)
-            stack.extend(s.body)
-        elif isinstance(s, If):
-            stack.extend(s.then)
-            stack.extend(s.orelse)
-    return seen
-
-
 def fresh_batch_var(program: Program, base: str = "__b") -> str:
     """A loop-variable name no statement in the program already binds."""
     used = {s.var for s in program.walk() if isinstance(s, For)}
@@ -120,9 +106,9 @@ def offset_expr(expr: Expr, bvar: str, strides: dict[str, int]) -> Expr:
     """Rewrite every buffer access under ``expr`` to its batched index.
 
     ``strides`` maps buffer name -> per-instance stride; buffers absent
-    from the map (the native emitter leaves ``const`` shared) keep their
-    original indices.  The rewrite is always the two-op form
-    ``index + (bvar * stride)`` so the count skew stays uniform.
+    from the map keep their original indices.  The rewrite is always the
+    two-op form ``index + (bvar * stride)`` so the count skew stays
+    uniform.
     """
     if isinstance(expr, Load):
         idx = offset_expr(expr.index, bvar, strides)
@@ -150,8 +136,8 @@ def offset_stmt(stmt: Stmt, bvar: str, strides: dict[str, int]) -> Stmt:
     """Statement-level companion of :func:`offset_expr` (pure; new nodes).
 
     ``CallStmt`` buffer arguments are *not* rewritten here — a buffer
-    argument is a name, not an index expression.  The Python transform
-    refuses programs with calls; the native emitter inlines them first.
+    argument is a name, not an index expression; :func:`expand_batch`
+    refuses programs with calls.
     """
     if isinstance(stmt, Assign):
         value = offset_expr(stmt.value, bvar, strides)
@@ -179,120 +165,6 @@ def offset_stmt(stmt: Stmt, bvar: str, strides: dict[str, int]) -> Stmt:
                         [offset_expr(a, bvar, strides)
                          for a in stmt.scalar_args])
     return stmt  # Comment
-
-
-# -- function inlining (native batch emission only) ---------------------------
-
-
-def _subst_vars(expr: Expr, mapping: dict[str, Expr]) -> Expr:
-    if isinstance(expr, Var):
-        return mapping.get(expr.name, expr)
-    if isinstance(expr, Load):
-        return Load(expr.buffer, _subst_vars(expr.index, mapping))
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, _subst_vars(expr.lhs, mapping),
-                     _subst_vars(expr.rhs, mapping))
-    if isinstance(expr, UnOp):
-        return UnOp(expr.op, _subst_vars(expr.operand, mapping))
-    if isinstance(expr, Call):
-        return Call(expr.func,
-                    tuple(_subst_vars(a, mapping) for a in expr.args))
-    if isinstance(expr, Select):
-        return Select(_subst_vars(expr.cond, mapping),
-                      _subst_vars(expr.if_true, mapping),
-                      _subst_vars(expr.if_false, mapping))
-    return expr
-
-
-def _subst_stmt_vars(stmt: Stmt, mapping: dict[str, Expr]) -> Stmt:
-    if isinstance(stmt, Assign):
-        return Assign(stmt.buffer, _subst_vars(stmt.index, mapping),
-                      _subst_vars(stmt.value, mapping))
-    if isinstance(stmt, For):
-        # A renamed loop variable must arrive as Var(new_name).
-        var = stmt.var
-        repl = mapping.get(var)
-        if isinstance(repl, Var):
-            var = repl.name
-        start = stmt.start if isinstance(stmt.start, int) \
-            else _subst_vars(stmt.start, mapping)
-        stop = stmt.stop if isinstance(stmt.stop, int) \
-            else _subst_vars(stmt.stop, mapping)
-        clone = For(var, start, stop,
-                    [_subst_stmt_vars(s, mapping) for s in stmt.body],
-                    stmt.vectorizable, segments=stmt.segments)
-        clone.forced_simd = stmt.forced_simd
-        return clone
-    if isinstance(stmt, If):
-        return If(_subst_vars(stmt.cond, mapping),
-                  [_subst_stmt_vars(s, mapping) for s in stmt.then],
-                  [_subst_stmt_vars(s, mapping) for s in stmt.orelse])
-    if isinstance(stmt, CallStmt):
-        return CallStmt(stmt.func, list(stmt.buffer_args),
-                        [_subst_vars(a, mapping) for a in stmt.scalar_args])
-    return stmt
-
-
-_MAX_INLINE_DEPTH = 32
-
-
-def inline_calls(stmts: list[Stmt], program: Program,
-                 _counter: "itertools.count | None" = None,
-                 _depth: int = 0) -> list[Stmt]:
-    """Expand every ``CallStmt`` into its callee's body (pure; new nodes).
-
-    Used by the native batch emitter, where a per-instance base-pointer
-    call would go wrong the moment a callee touches a program buffer that
-    is not among its parameters.  Inlining sidesteps the question:
-
-    * callee loop variables are renamed to fresh ``__f<N>`` names so that
-      scalar-argument expressions referencing call-site loop variables
-      cannot be captured;
-    * pointer parameters are bound via
-      :func:`repro.ir.interp.substitute_buffers`;
-    * scalar parameters are substituted as *expressions* — the IR has no
-      side effects, so re-evaluating an argument per use is value-
-      identical to the single evaluation a real call performs (dynamic
-      op counts differ, which is why only the native path — whose counts
-      are analytic — uses this).
-    """
-    from repro.ir.interp import substitute_buffers
-    if _depth > _MAX_INLINE_DEPTH:
-        raise BatchUnsupported(
-            f"function call nesting exceeds {_MAX_INLINE_DEPTH} "
-            "(recursive CallStmt chain?)")
-    if _counter is None:
-        _counter = itertools.count()
-    out: list[Stmt] = []
-    for s in stmts:
-        if isinstance(s, CallStmt):
-            func = program.functions.get(s.func)
-            if func is None:
-                raise BatchUnsupported(f"call to undefined function "
-                                       f"{s.func!r}")
-            rename = {v: Var(f"__f{next(_counter)}")
-                      for v in sorted(_loop_vars(func.body))}
-            body = [_subst_stmt_vars(b, rename) for b in func.body]
-            body = substitute_buffers(body, {
-                p.name: actual
-                for p, actual in zip(func.pointer_params, s.buffer_args)})
-            scalars = {p.name: arg for p, arg
-                       in zip(func.scalar_params, s.scalar_args)}
-            body = [_subst_stmt_vars(b, scalars) for b in body]
-            out.extend(inline_calls(body, program, _counter, _depth + 1))
-        elif isinstance(s, For):
-            clone = For(s.var, s.start, s.stop,
-                        inline_calls(s.body, program, _counter, _depth),
-                        s.vectorizable, segments=s.segments)
-            clone.forced_simd = s.forced_simd
-            out.append(clone)
-        elif isinstance(s, If):
-            out.append(If(s.cond,
-                          inline_calls(s.then, program, _counter, _depth),
-                          inline_calls(s.orelse, program, _counter, _depth)))
-        else:
-            out.append(s)
-    return out
 
 
 # -- the transform -------------------------------------------------------------

@@ -286,23 +286,19 @@ class VirtualMachine:
       makes the numpy dispatch overhead worthwhile (native stays opt-in;
       ``"auto"`` never selects it);
     * ``"native"`` — compile the emitted C into a reusable shared object
-      (:mod:`repro.native.sharedlib`) and call ``<name>_step`` in-process
-      with zero-copy pointers into this VM's input/output buffers.
-      State lives inside the library; ``<name>_init`` performs a full
-      reset, so :meth:`run`'s reset semantics are preserved.  Requires a
-      C toolchain — a missing compiler or failed build raises
+      (:mod:`repro.native.sharedlib`) and call its ``<name>_init`` /
+      ``<name>_step`` entries in-process over a pointer table into this
+      VM's own buffers — state and temps included, so a native VM is as
+      independent as a closure/vector one, even when many VMs share one
+      loaded image.  A run is ``nb = 1`` over ``_buffers``; a batch is
+      ``nb = B`` over arrays of B instances, through the same entries.
+      ``<name>_init`` performs a full reset, so :meth:`run`'s reset
+      semantics are preserved.  Requires a C toolchain — a missing
+      compiler or failed build raises
       :class:`~repro.errors.NativeToolchainError`, never a silent
       fallback.  ``so_cache_dir`` points at a persistent ``.so`` store
       (the serve layer passes its artifact cache's ``native_dir``); a
       warm entry skips both code generation and the C compiler.
-
-      **Shared-image caveat.**  ``dlopen`` yields one image per path per
-      process, so two live native VMs over the same program alias one
-      set of C static state — unlike closure/vector VMs, which are fully
-      independent objects.  :meth:`run` is still safe on either VM (it
-      re-``init``\\ s first), but *interleaving* their raw :meth:`step`
-      calls is undefined; binding a second live VM to the same image
-      raises a :class:`RuntimeWarning`.
 
     All backends produce bitwise-identical outputs.  Closure/vector/auto
     also record identical :class:`ContextCounts`; vector-kernel counts
@@ -385,7 +381,7 @@ class VirtualMachine:
                                                cache_dir=so_cache_dir)
             self._static = analyze_counts(program)
             self.counts_exact = self._static.exact
-            self._native_args = self._shared.bind(self._buffers, owner=self)
+            self._native_table = self._shared.bind(self._buffers)
             self._init_fn = self._native_init
             self._step_fn = self._native_step
         else:
@@ -412,11 +408,11 @@ class VirtualMachine:
         self._initialized = False
 
     def _native_init(self, env: dict) -> None:
-        self._shared.init()
+        self._shared.init(1, self._native_table)
         self._static.apply(self.counts, self._static.init)
 
     def _native_step(self, env: dict) -> None:
-        self._shared.step(self._native_args)
+        self._shared.step(1, self._native_table)
         self._static.apply(self.counts, self._static.step)
 
     # -- public API --------------------------------------------------------
@@ -547,9 +543,9 @@ class VirtualMachine:
         amortized: the vector/auto backends execute a batch-expanded
         program whose kernels span instances
         (:mod:`repro.ir.batch`), and the native backend calls the
-        ``<name>_step_batch`` entry point once per step for the whole
-        batch.  Outputs are bit-for-bit equal to the sequential runs on
-        every backend; aggregate counts equal their sum whenever
+        ``<name>_step`` entry point once per step for the whole batch
+        (``nb = B``).  Outputs are bit-for-bit equal to the sequential
+        runs on every backend; aggregate counts equal their sum whenever
         ``counts_exact`` is True.
 
         An empty batch raises :class:`~repro.errors.SimulationError`
@@ -792,25 +788,23 @@ class VirtualMachine:
         return BatchResult(outputs, counts, self.counts_exact, peak)
 
     def _run_batch_native(self, validated, steps, peak):
-        """Native path: one ``<name>_init_batch`` + ``steps`` calls of
-        ``<name>_step_batch`` over arrays-of-instances; counts are the
-        static per-instance analysis scaled ×B."""
+        """Native path: one ``<name>_init`` + ``steps`` calls of
+        ``<name>_step`` with ``nb = B`` over arrays-of-instances; counts
+        are the static per-instance analysis scaled ×B."""
+        from repro.codegen.ctext import abi_buffers
         batch = len(validated)
         entry = self._batch_native.pop(batch, None)
         if entry is None:
-            arrays: dict[str, np.ndarray] = {}
-            for kind in ("input", "output", "state", "temp"):
-                for decl in self.program.buffers_of_kind(kind):
-                    arrays[decl.name] = np.zeros(
-                        batch * max(decl.storage_size, 1), dtype=decl.dtype)
-            entry = (arrays, self._shared.bind_batch(arrays, batch))
+            arrays = {decl.name: np.zeros(batch * max(decl.storage_size, 1),
+                                          dtype=decl.dtype)
+                      for decl in abi_buffers(self.program)}
+            entry = (arrays, self._shared.bind(arrays, batch))
         self._batch_native[batch] = entry
         while len(self._batch_native) > self._BATCH_NATIVE_MEMO_MAX:
             del self._batch_native[next(iter(self._batch_native))]
-        arrays, args = entry
-        # init_batch resets per-instance state/temp inside the library;
-        # inputs and outputs live in our arrays and are reset here, matching
-        # run()'s reset-to-declared-initial semantics.
+        arrays, table = entry
+        # _init resets every instance's state/temp; inputs and outputs are
+        # reset here, matching run()'s reset-to-declared-initial semantics.
         for kind in ("input", "output"):
             for decl in self.program.buffers_of_kind(kind):
                 view = arrays[decl.name].reshape(batch, max(decl.size, 1))
@@ -823,9 +817,9 @@ class VirtualMachine:
                     for b, inst in enumerate(validated):
                         if decl.name in inst:
                             view[b, :decl.size] = inst[decl.name]
-        self._shared.init_batch(batch, args)
+        self._shared.init(batch, table)
         for _ in range(steps):
-            self._shared.step_batch(batch, args)
+            self._shared.step(batch, table)
         counts = ContextCounts()
         self._static.apply(counts, self._static.init, factor=batch)
         self._static.apply(counts, self._static.step, factor=batch * steps)

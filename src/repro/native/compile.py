@@ -6,10 +6,12 @@ FRODO vs the baselines on this machine — the closest available stand-in
 for the paper's x86/GCC column.
 
 The harness synthesizes a ``main.c`` next to the emitted model source:
-inputs are embedded as static initializers, the step function runs
-``steps`` times (exercising stateful blocks), outputs are printed in full
-precision, and an optional timing loop reports seconds for ``repetitions``
-further step calls.
+inputs are embedded as static initializers, every input, output, state
+and temp buffer gets one instance of static storage behind the ``bufs``
+pointer table of the model's ABI (:mod:`repro.codegen.ctext`), the step
+function runs ``steps`` times with ``nb = 1`` (exercising stateful
+blocks), outputs are printed in full precision, and an optional timing
+loop reports seconds for ``repetitions`` further step calls.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.codegen.base import GeneratedCode
-from repro.codegen.ctext import _c_literal, emit_c
+from repro.codegen.ctext import _c_literal, abi_buffers, emit_c
 from repro.errors import NativeToolchainError
 from repro.ir.ops import BufferDecl, c_type
 
@@ -174,50 +176,52 @@ def generate_main(code: GeneratedCode, inputs: Mapping[str, np.ndarray],
                   steps: int = 1, repetitions: int = 0) -> str:
     """Synthesize the driver translation unit."""
     program = code.program
-    in_decls = program.buffers_of_kind("input")
-    out_decls = program.buffers_of_kind("output")
     buffer_inputs = code.map_inputs(dict(inputs))
 
     lines = [
         "#define _POSIX_C_SOURCE 199309L",  # clock_gettime under -std=c11
         "#include <stdio.h>",
         "#include <stdint.h>",
+        "#include <stdbool.h>",
         "#include <time.h>",
         "#include <complex.h>",
         "",
-        f"void {program.name}_init(void);",
+        f"void {program.name}_init(int64_t nb, void *const *bufs);",
+        f"void {program.name}_step(int64_t nb, void *const *bufs);",
+        "",
     ]
-    params = [f"const {c_type(d.dtype)}*" for d in in_decls]
-    params += [f"{c_type(d.dtype)}*" for d in out_decls]
-    signature = ", ".join(params) if params else "void"
-    lines.append(f"void {program.name}_step({signature});")
-    lines.append("")
-    for decl in in_decls:
-        lines.append(_input_initializer(decl, buffer_inputs[decl.name]))
-    for decl in out_decls:
-        lines.append(f"static {c_type(decl.dtype)} {decl.name}_out"
-                     f"[{max(decl.size, 1)}];")
-    call_args = ", ".join(
-        [f"{d.name}_data" for d in in_decls] + [f"{d.name}_out" for d in out_decls]
-    )
+    table: list[str] = []
+    for decl in abi_buffers(program):
+        if decl.kind == "input":
+            lines.append(_input_initializer(decl, buffer_inputs[decl.name]))
+            table.append(f"(void *){decl.name}_data")
+            continue
+        # Rings of a fused program are stored at their window size, as
+        # emit_c lowers them.
+        suffix = "_out" if decl.kind == "output" else "_mem"
+        lines.append(f"static {c_type(decl.dtype)} {decl.name}{suffix}"
+                     f"[{max(decl.storage_size, 1)}];")
+        table.append(f"{decl.name}{suffix}")
+    lines.append(f"static void *const bufs[] = "
+                 f"{{{', '.join(table) or '0'}}};")
     lines += [
         "",
         "int main(void) {",
-        f"    {program.name}_init();",
+        f"    {program.name}_init(1, bufs);",
         f"    for (int s = 0; s < {steps}; s++) "
-        f"{program.name}_step({call_args});",
+        f"{program.name}_step(1, bufs);",
     ]
     if repetitions > 0:
         lines += [
             "    struct timespec t0, t1;",
             "    clock_gettime(CLOCK_MONOTONIC, &t0);",
             f"    for (int r = 0; r < {repetitions}; r++) "
-            f"{program.name}_step({call_args});",
+            f"{program.name}_step(1, bufs);",
             "    clock_gettime(CLOCK_MONOTONIC, &t1);",
             '    printf("TIME %.9f\\n", (t1.tv_sec - t0.tv_sec)'
             " + (t1.tv_nsec - t0.tv_nsec) * 1e-9);",
         ]
-    for decl in out_decls:
+    for decl in program.buffers_of_kind("output"):
         lines.extend(_print_loop(decl))
     lines += ["    return 0;", "}", ""]
     return "\n".join(lines)

@@ -121,7 +121,7 @@ class ClusterSupervisor:
                 router_config,
                 {s.name: (s.host, s.port) for s in self._shards})
             port = self.router.start()
-        except Exception:
+        except BaseException:  # KeyboardInterrupt too: reap what started
             self.stop()
             raise
         if self.config.respawn:
@@ -153,11 +153,16 @@ class ClusterSupervisor:
         if self.router is not None:
             self.router.stop()
             self.router = None
+        # SIGTERM every shard group before waiting on any: the shards
+        # drain in parallel with each other and with the store's stop.
         for shard in self._shards:
-            self._terminate(shard)
+            if shard.proc is not None:
+                self._signal_group(shard.proc, signal.SIGTERM)
         if self.store is not None:
             self.store.stop()
             self.store = None
+        for shard in self._shards:
+            self._reap(shard)
         # Final sweep: a racing respawn may have re-assigned shard.proc
         # after the first pass terminated the old process.
         for shard in self._shards:
@@ -215,6 +220,9 @@ class ClusterSupervisor:
             self._shard_command(shard), stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True, env=env,
             start_new_session=True)
+        # Recorded before the announce wait, so stop() reaps this child
+        # even when an interrupt lands while it boots.
+        shard.proc = proc
         deadline = time.monotonic() + SPAWN_TIMEOUT
         host = port = None
         assert proc.stdout is not None
@@ -227,9 +235,9 @@ class ClusterSupervisor:
                 host, port = match.group(1), int(match.group(2))
                 break
         if port is None or self._stopping:
-            # No announce, or stop() raced this respawn: the fresh child
-            # is ours to reap — nothing else holds a handle to it.
-            proc.kill()
+            # No announce, or stop() raced this respawn: reap the fresh
+            # child's whole group now.
+            self._signal_group(proc, signal.SIGKILL)
             proc.wait(timeout=10)
             if self._stopping:
                 raise RuntimeError(
@@ -237,7 +245,6 @@ class ClusterSupervisor:
             raise RuntimeError(
                 f"shard {shard.name} did not announce a port within "
                 f"{SPAWN_TIMEOUT:g}s")
-        shard.proc = proc
         shard.host = host
         shard.port = port
         shard.expected_exit = False
@@ -268,12 +275,18 @@ class ClusterSupervisor:
                 pass
 
     def _terminate(self, shard: _Shard, timeout: float = 10.0) -> None:
+        if shard.proc is not None:
+            # Signal the group even if the main process already exited:
+            # its pool workers outlive a SIGKILLed or crashed main.
+            self._signal_group(shard.proc, signal.SIGTERM)
+            self._reap(shard, timeout)
+
+    def _reap(self, shard: _Shard, timeout: float = 10.0) -> None:
+        """Wait for a SIGTERMed shard, then SIGKILL what is left of its
+        group."""
         proc = shard.proc
         if proc is None:
             return
-        # Signal the group even if the main process already exited: its
-        # pool workers outlive a SIGKILLed or crashed main.
-        self._signal_group(proc, signal.SIGTERM)
         if proc.poll() is None:
             try:
                 proc.wait(timeout=timeout)

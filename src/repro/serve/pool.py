@@ -95,8 +95,12 @@ def _configure_runtime(cache, config: "PoolConfig") -> None:
 
 def _worker_main(conn, config: "PoolConfig") -> None:
     """Worker process loop: recv request dict, send response dict."""
+    import signal
     from repro.serve.handlers import handle_request
     from repro.serve.protocol import ServeError as WorkerServeError
+    # A forked worker inherits the server's graceful SIGTERM handler; it
+    # has nothing to drain, so SIGTERM ends it at once.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     cache = _build_cache(config)
     _configure_runtime(cache, config)
     while True:

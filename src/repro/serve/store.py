@@ -231,7 +231,10 @@ class StoreServer(socketserver.ThreadingTCPServer):
 
     def start(self) -> "StoreServer":
         """Serve on a background thread; returns self (port is bound)."""
+        # serve_forever notices stop() only between polls; the default
+        # 0.5 s poll would dominate a cluster's teardown.
         self._thread = threading.Thread(target=self.serve_forever,
+                                        kwargs={"poll_interval": 0.05},
                                         daemon=True, name="repro-store")
         self._thread.start()
         return self

@@ -6,8 +6,8 @@ observationally identical to B independent ``run()`` calls on a fresh VM
 ``ContextCounts`` exactly equal to the sum of the B solo runs whenever
 the backend reports ``counts_exact``.  This suite enforces that on the
 zoo × generator grid for the closure, vector and auto backends, and (when
-a C toolchain is present) for the native backend's ``*_batch`` entry
-points; plus the lifecycle guarantees: batch-VM memo reuse, B=1
+a C toolchain is present) for the native backend's entry points run
+with ``nb = B``; plus the lifecycle guarantees: batch-VM memo reuse, B=1
 delegation, and non-reentrancy across threads.
 """
 
@@ -88,7 +88,7 @@ def test_zoo_batched_identical(model_name, generator, backend):
 
 @pytest.mark.native
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
-@pytest.mark.parametrize("generator", ("frodo", "hcg"))
+@pytest.mark.parametrize("generator", ("frodo", "hcg", "frodo-fn"))
 @pytest.mark.parametrize("model_name",
                          ["Motivating", "AudioProcess", "HighPass", "Kalman"])
 def test_zoo_batched_native(model_name, generator, tmp_path):

@@ -7,8 +7,8 @@ interpreter — bit-for-bit equal outputs on every program, and equal
 (``vm.counts_exact``).  This suite enforces that on the full
 zoo × generator grid, plus the lifecycle guarantees that make one
 compiled ``.so`` safely reusable: ``_init`` resets all state between
-runs, and a warm on-disk cache entry skips code generation and the C
-compiler entirely.
+runs, VMs sharing one loaded image stay independent, and a warm on-disk
+cache entry skips code generation and the C compiler entirely.
 
 Every test auto-skips when no C toolchain is on PATH.
 """
@@ -25,7 +25,8 @@ from repro.native import (clear_shared_program_cache, find_compiler,
 from repro.sim.simulator import random_inputs
 from repro.zoo import EXTENDED, TABLE1, build_model
 
-GENERATORS = ("simulink", "dfsynth", "hcg", "frodo")
+# frodo-fn emits §5 generic-function calls: the base-pointer calls.
+GENERATORS = ("simulink", "dfsynth", "hcg", "frodo", "frodo-fn")
 ZOO = [e.name for e in TABLE1] + [e.name for e in EXTENDED] + ["Motivating"]
 
 pytestmark = [
@@ -81,35 +82,65 @@ class TestStatefulReuse:
 
         vm = VirtualMachine(code.program, backend="native",
                             so_cache_dir=tmp_path)
-        vm.run(inputs_a, steps=5)  # pollutes the .so's static state
+        vm.run(inputs_a, steps=5)  # leaves state behind in the VM
         second = vm.run(inputs_b, steps=5)
         fresh = VirtualMachine(code.program, backend="closure").run(
             inputs_b, steps=5)
         np.testing.assert_array_equal(second.outputs[code.output_buffers["y"]],
                                       fresh.outputs[code.output_buffers["y"]])
 
-    def test_two_vms_share_one_image_safely(self, tmp_path):
-        """Two VMs over the same cached .so share the dlopen'd image; the
-        run()-always-resets contract keeps them independent — and binding
-        the second live VM must surface the shared-static-state caveat
-        as a RuntimeWarning."""
+    def test_two_vms_over_one_image_are_independent(self, tmp_path):
+        """Two live native VMs bound to one cached .so each own their
+        state: binding warns nothing, interleaved raw step() calls and
+        runs on two threads each match their own closure reference
+        bitwise."""
+        import sys
+        import threading
         import warnings
         code = stateful_code()
+        y = code.output_buffers["y"]
+        xs = [code.map_inputs({"u": np.linspace(-1, 1, 6)}),
+              code.map_inputs({"u": np.full(6, 9.0)})]
         clear_vm_cache()
-        clear_shared_program_cache()  # detach any earlier live binders
+        clear_shared_program_cache()
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # first bind must be silent
-            vm1 = VirtualMachine(code.program, backend="native",
-                                 so_cache_dir=tmp_path)
-        with pytest.warns(RuntimeWarning, match="share the loaded image"):
-            vm2 = VirtualMachine(code.program, backend="native",
-                                 so_cache_dir=tmp_path)
-        x = code.map_inputs({"u": np.linspace(-1, 1, 6)})
-        out1 = vm1.run(x, steps=4).outputs[code.output_buffers["y"]]
-        vm1.run(code.map_inputs({"u": np.full(6, 9.0)}),
-                steps=2)  # perturb shared state
-        out2 = vm2.run(x, steps=4).outputs[code.output_buffers["y"]]
-        np.testing.assert_array_equal(out1, out2)
+            warnings.simplefilter("error")
+            vms = [VirtualMachine(code.program, backend="native",
+                                  so_cache_dir=tmp_path) for _ in xs]
+            assert vms[0]._shared is vms[1]._shared  # one loaded image
+            refs = [VirtualMachine(code.program, backend="closure")
+                    for _ in xs]
+            for vm, x in zip(vms + refs, xs + xs):
+                vm.reset()
+                vm.set_inputs(x)
+            for _ in range(5):
+                for vm, ref in zip(vms, refs):
+                    vm.step()
+                    ref.step()
+                    assert vm.outputs()[y].tobytes() == \
+                        ref.outputs()[y].tobytes()
+
+            expected = [ref.run(x, steps=7).outputs[y].tobytes()
+                        for ref, x in zip(refs, xs)]
+            mismatches = []
+
+            def hammer(vm, x, want):
+                for _ in range(300):
+                    if vm.run(x, steps=7).outputs[y].tobytes() != want:
+                        mismatches.append(vm)
+            threads = [threading.Thread(target=hammer, args=args)
+                       for args in zip(vms, xs, expected)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
 
 
 class TestWarmCache:
@@ -171,6 +202,36 @@ class TestVmIntegration:
         assert vm_auto is not vm_native
         assert cached_vm(code.program, backend="native",
                          so_cache_dir=tmp_path) is vm_native
+
+    def test_callee_naming_state_directly_fails_typed(self, tmp_path):
+        """A §5 callee reaches buffers only through its parameters: one
+        that names a state buffer directly has no such file-scope array
+        under the caller-owned ABI, so the build fails, typed."""
+        from repro.ir.build import const, load, var
+        from repro.ir.ops import (Assign, CallStmt, For, FuncDef, FuncParam,
+                                  Program)
+        p = Program("Leaky")
+        p.declare("u", (2,), "float64", "input")
+        p.declare("y", (2,), "float64", "output")
+        p.declare("s", (2,), "float64", "state", np.zeros(2))
+        p.define_function(FuncDef("peek", [FuncParam("x", "float64")], [
+            Assign("s", const(0), load("x", const(0)))]))
+        p.step.append(CallStmt("peek", ["u"]))
+        p.step.append(For("i", 0, 2, [
+            Assign("y", var("i"), load("s", var("i")))]))
+        with pytest.raises(NativeToolchainError, match="build failed"):
+            load_shared_program(p, cache_dir=tmp_path)
+
+    def test_bind_rejects_overlapping_buffers(self, tmp_path):
+        """The per-instance functions take restrict pointers, so bind
+        refuses a table whose arrays overlap."""
+        from repro.codegen.ctext import abi_buffers
+        code = stateful_code()
+        shared = load_shared_program(code.program, cache_dir=tmp_path)
+        one = np.zeros(64)
+        with pytest.raises(NativeToolchainError, match="overlap"):
+            shared.bind({d.name: one[:max(d.size, 1)]
+                         for d in abi_buffers(code.program)})
 
     def test_native_failure_is_typed_never_silent(self, monkeypatch):
         """A broken toolchain must raise NativeToolchainError from VM

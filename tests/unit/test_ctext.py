@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.codegen.ctext import _c_literal, emit_c, emit_expr, emit_stmt
+from repro.codegen.ctext import (_c_literal, abi_buffers, emit_c,
+                                 emit_expr, emit_stmt)
 from repro.errors import CodegenError
 from repro.ir.build import add, binop, call, const, load, select, var
 from repro.ir.ops import Assign, Comment, For, If, Program
@@ -109,19 +110,40 @@ class TestProgramEmission:
         text = emit_c(self.make_program())
         assert "static const double k[2] = {0.5, 2.0};" in text
 
-    def test_state_and_temp_are_static(self):
+    def test_state_and_temp_are_caller_owned(self):
+        """No mutable file-scope array: state and temps are per-instance
+        slices of the caller's table, like inputs and outputs."""
         text = emit_c(self.make_program())
-        assert "static double s[4]" in text
-        assert "static double tmp[4];" in text
+        assert "static double" not in text
+        assert "(double*)bufs[2] + __b * 4" in text  # s
+        assert "(double*)bufs[3] + __b * 4" in text  # tmp
 
     def test_signature_lists_io(self):
+        """One ABI: the only external entries take (nb, bufs); the table
+        lists inputs, outputs, state and temps in that order (consts are
+        not in it), bound to the per-instance function's parameters."""
         text = emit_c(self.make_program())
-        assert "void demo_step(const double* u, double* y)" in text
+        externs = [line for line in text.splitlines()
+                   if line.startswith("void ")]
+        assert externs == [
+            "void demo_init(int64_t nb, void *const *bufs) {",
+            "void demo_step(int64_t nb, void *const *bufs) {"]
+        assert ("static void demo__step(const double* restrict u, "
+                "double* restrict y, double* restrict s, "
+                "double* restrict tmp) {") in text
+        assert ("demo__step((const double*)bufs[0] + __b * 4, "
+                "(double*)bufs[1] + __b * 4, (double*)bufs[2] + __b * 4, "
+                "(double*)bufs[3] + __b * 4);") in text
+        assert [d.name for d in abi_buffers(self.make_program())] == \
+            ["u", "y", "s", "tmp"]
 
     def test_init_restores_state(self):
         text = emit_c(self.make_program())
-        assert "void demo_init(void)" in text
-        assert "s[0] = 0.0;" in text
+        init = text.split("static void demo__init(")[1]
+        init = init.split("static void demo__step(")[0]
+        assert "s[0] = 0.0;" in init
+        assert "memset(tmp, 0, 4 * sizeof *tmp);" in init
+        assert "for (int64_t __b = 0; __b < nb; __b++)" in init
 
     def test_complex_program_uses_complex_type(self):
         p = Program("cplx")
@@ -140,7 +162,7 @@ class TestProgramEmission:
         p.step.append(For("i", 0, 2, [Assign(
             "y", var("i"), binop("^", load("u", var("i")), const(0xFF)))]))
         text = emit_c(p)
-        assert "const uint32_t* u" in text
+        assert "const uint32_t* restrict u" in text
         assert "^" in text
 
     def test_generated_text_is_deterministic(self):

@@ -22,9 +22,15 @@ def tiny_code():
 
 class TestGenerateMain:
     def test_declares_prototypes(self):
-        main = generate_main(tiny_code(), {"u": np.zeros(3)})
-        assert "void Tiny_init(void);" in main
-        assert "void Tiny_step(const double*, double*);" in main
+        """main.c calls the model's one ABI: both entries take
+        (nb, bufs), and its table lists the input before the output."""
+        code = tiny_code()
+        main = generate_main(code, {"u": np.zeros(3)})
+        assert "void Tiny_init(int64_t nb, void *const *bufs);" in main
+        assert "void Tiny_step(int64_t nb, void *const *bufs);" in main
+        u, y = code.input_buffers["u"], code.output_buffers["y"]
+        assert f"bufs[] = {{(void *){u}_data, {y}_out, " in main
+        assert "Tiny_init(1, bufs);" in main
 
     def test_embeds_inputs(self):
         main = generate_main(tiny_code(), {"u": np.array([1.5, 2.5, 3.5])})
