@@ -19,6 +19,7 @@ random-testing correctness comparison against the reference simulator.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
@@ -296,8 +297,9 @@ class VirtualMachine:
       semantics are preserved.  Requires a C toolchain — a missing
       compiler or failed build raises
       :class:`~repro.errors.NativeToolchainError`, never a silent
-      fallback.  ``so_cache_dir`` points at a persistent ``.so`` store
-      (the serve layer passes its artifact cache's ``native_dir``); a
+      fallback.  ``so_cache_dir`` is a directory path or a blob store
+      (:mod:`repro.blobstore`; the serve layer passes its artifact
+      cache's store) that keeps each build as one ``native`` bundle; a
       warm entry skips both code generation and the C compiler.
 
     All backends produce bitwise-identical outputs.  Closure/vector/auto
@@ -1152,7 +1154,7 @@ class VirtualMachine:
 
 # -- program cache -------------------------------------------------------------
 
-# Keyed by (content fingerprint, backend, so_cache_dir): repeated run()s of
+# Keyed by (content fingerprint, backend, .so store, fuse): repeated run()s of
 # structurally identical generated programs (the common shape in eval/runner
 # and the benchmark suites) skip closure/kernel recompilation entirely.
 #
@@ -1168,6 +1170,15 @@ _VM_CACHE: dict[tuple, VirtualMachine] = {}
 _VM_CACHE_MAX = 64
 _VM_CACHE_LOCK = threading.Lock()
 _VM_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
+
+
+def _store_token(so_cache_dir):
+    """The VM-cache key part for a ``.so`` store: a path by its text, a
+    store object by identity."""
+    if isinstance(so_cache_dir, (str, os.PathLike)):
+        return os.fspath(so_cache_dir)
+    return so_cache_dir
+
 
 # -- adaptive promotion overlay ------------------------------------------------
 #
@@ -1216,10 +1227,7 @@ def promote_fingerprint(fp: str, fuse: bool = True,
     with _VM_CACHE_LOCK:
         if key in _DEMOTIONS:
             return False
-        _PROMOTIONS[key] = {
-            "so_cache_dir": str(so_cache_dir)
-            if so_cache_dir is not None else None,
-        }
+        _PROMOTIONS[key] = {"so_cache_dir": so_cache_dir}
     return True
 
 
@@ -1264,8 +1272,7 @@ def install_cached_vm(program: Program, vm: VirtualMachine,
     """
     from repro.ir.vectorize import fingerprint
     fp = fingerprint(program)
-    key = (fp, vm.backend,
-           str(so_cache_dir) if so_cache_dir is not None else None, vm.fuse)
+    key = (fp, vm.backend, _store_token(so_cache_dir), vm.fuse)
     with _VM_CACHE_LOCK:
         _VM_CACHE.pop(key, None)
         _VM_CACHE[key] = vm
@@ -1277,9 +1284,7 @@ def install_cached_vm(program: Program, vm: VirtualMachine,
 def _lookup_or_build(program: Program, fp: str, backend: str,
                      so_cache_dir, fuse: bool) -> VirtualMachine:
     """The cache transaction shared by both ``cached_vm`` paths."""
-    key = (fp, backend,
-           str(so_cache_dir) if so_cache_dir is not None else None,
-           bool(fuse))
+    key = (fp, backend, _store_token(so_cache_dir), bool(fuse))
     with _VM_CACHE_LOCK:
         vm = _VM_CACHE.pop(key, None)
         if vm is not None:

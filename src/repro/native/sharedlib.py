@@ -6,7 +6,7 @@ for validation, useless for serving traffic.  This module makes the
 paper's own artifact (compiled C at ``-O3``) the serving fast path:
 
 * the emitted translation unit is built **once** per (program content,
-  compiler identity, flags) into ``<key>.so`` (``-fPIC -shared``);
+  compiler identity, flags) into a shared object (``-fPIC -shared``);
 * the library is loaded in-process with :mod:`ctypes` and its two entry
   points, ``<name>_init`` and ``<name>_step``, are bound as
   ``(int64_t nb, void *const *bufs)`` — the one caller-owned ABI of
@@ -24,11 +24,15 @@ Artifacts are content-addressed.  The key covers the program fingerprint
 (:func:`repro.ir.vectorize.fingerprint`), the **compiler identity**
 (resolved path + ``--version`` hash — a toolchain upgrade is a cache
 miss, never a stale hit) and the exact flag tuple.  With a ``cache_dir``
-(the serve layer passes its artifact cache's ``native_dir``) the ``.so``,
-its source, and build metadata persist across processes: a restarted
-server skips both code generation and the C compiler.  Without one, the
-library is built in a private temp directory that is deleted right after
-``dlopen`` (POSIX keeps the mapping alive).
+(a directory, or any blob store such as the serve layer's) each build is
+stored as one ``native`` blob of :mod:`repro.blobstore` holding the
+``.so``, its C source and the :class:`BuildInfo` JSON, so a restarted
+server skips both code generation and the C compiler, and cluster
+shards share builds through their store.  Whether the bytes come from
+the store or from gcc, the library is loaded from a private temp copy
+that is deleted right after ``dlopen`` (POSIX keeps the mapping alive):
+a stored file is never mapped, so nothing done to the store can reach a
+loaded image.
 
 Failure is loud: a missing compiler or failed build raises
 :class:`~repro.errors.NativeToolchainError`.  There is no silent
@@ -39,18 +43,22 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import io
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.blobstore import open_store
 from repro.codegen.ctext import abi_buffers
 from repro.errors import NativeToolchainError
 from repro.ir.ops import BufferDecl, Program
@@ -71,6 +79,9 @@ SHARED_FLAGS: tuple[str, ...] = ("-fPIC", "-shared")
 #: v3: one caller-owned ABI, ``<name>_init`` / ``<name>_step`` taking
 #: ``(int64_t nb, void *const *bufs)``; no mutable static state.
 SHARED_ABI_VERSION = 3
+
+#: Bump when the stored ``native`` bundle layout changes.
+NATIVE_BUNDLE_VERSION = 1
 
 
 def shared_cache_key(program_fingerprint: str, identity: CompilerIdentity,
@@ -170,14 +181,15 @@ class SharedProgram:
 
 
 def _build_so(program: Program, source: str, compiler: str,
-              flags: Sequence[str], out_path: Path) -> None:
-    """Compile ``source`` into ``out_path`` (raises on any failure)."""
+              flags: Sequence[str]) -> bytes:
+    """Compile ``source`` into a shared object and return its bytes
+    (raises on any failure)."""
     workdir = Path(tempfile.mkdtemp(prefix="repro_so_"))
     try:
         src = workdir / f"{program.name}.c"
-        so_tmp = workdir / f"{program.name}.so"
+        so_path = workdir / f"{program.name}.so"
         src.write_text(source)
-        cmd = [compiler, *flags, *SHARED_FLAGS, "-o", str(so_tmp),
+        cmd = [compiler, *flags, *SHARED_FLAGS, "-o", str(so_path),
                str(src), "-lm"]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
@@ -193,35 +205,43 @@ def _build_so(program: Program, source: str, compiler: str,
             raise NativeToolchainError(
                 f"shared-object build failed ({' '.join(cmd)}):\n"
                 f"{proc.stderr}")
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic install: racing builders overwrite each other with
-        # identical bytes, and readers never see a torn file.
-        fd, tmp = tempfile.mkstemp(dir=out_path.parent, suffix=".so.tmp")
-        os.close(fd)
-        shutil.copyfile(so_tmp, tmp)
-        os.replace(tmp, out_path)
+        return so_path.read_bytes()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _cache_paths(cache_dir: Path, key: str) -> tuple[Path, Path, Path]:
-    shard = cache_dir / key[:2]
-    return (shard / f"{key}.so", shard / f"{key}.c", shard / f"{key}.json")
+def pack_native(so_bytes: bytes, c_source: str, info_json: str) -> bytes:
+    """One ``native`` blob: the shared object, its source and metadata."""
+    buf = io.BytesIO()
+    pickle.dump((NATIVE_BUNDLE_VERSION,
+                 {"so": so_bytes, "c": c_source, "info": info_json}),
+                buf, protocol=pickle.HIGHEST_PROTOCOL)
+    return buf.getvalue()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+def unpack_native(blob: bytes) -> Optional[dict]:
+    """The bundle dict, or None for malformed or version-skewed bytes."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        version, bundle = pickle.loads(blob)
+        if version != NATIVE_BUNDLE_VERSION or not isinstance(bundle, dict) \
+                or not isinstance(bundle.get("so"), bytes):
+            return None
+    except Exception:  # noqa: BLE001 — any bad bytes are a miss
+        return None
+    return bundle
+
+
+def _load_private_copy(program: Program, so_bytes: bytes,
+                       **kwargs) -> SharedProgram:
+    """``dlopen`` a private temp copy of ``so_bytes``, then unlink it."""
+    fd, path = tempfile.mkstemp(prefix=f"repro_{program.name}_",
+                                suffix=".so")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(so_bytes)
+        return SharedProgram(program, Path(path), **kwargs)
+    finally:
+        os.unlink(path)
 
 
 # In-process registry of loaded libraries, keyed by content address.
@@ -235,24 +255,23 @@ _LOADED_STATS = {"hits": 0, "builds": 0, "disk_hits": 0}
 
 def load_shared_program(program: Program, cc: Optional[str] = None,
                         flags: Sequence[str] = DEFAULT_FLAGS,
-                        cache_dir: "str | os.PathLike | None" = None,
-                        ) -> SharedProgram:
+                        cache_dir=None) -> SharedProgram:
     """Compile-once, load-in-process execution image for ``program``.
 
-    Resolution order: in-process registry -> on-disk ``cache_dir``
-    (warm: skips codegen **and** the C compiler) -> fresh build (cold).
-    Raises :class:`NativeToolchainError` when no compiler is available
-    or the build fails — callers must surface that as a typed error, not
-    fall back silently.
+    Resolution order: in-process registry -> the ``native`` bundle in
+    ``cache_dir`` (a directory path or a blob store; warm: skips codegen
+    **and** the C compiler) -> fresh build (cold), stored back into
+    ``cache_dir``.  Raises :class:`NativeToolchainError` when no
+    compiler is available or the build fails — callers must surface
+    that as a typed error, not fall back silently.
     """
-    import time
-
     from repro.codegen.ctext import emit_c
     from repro.ir.vectorize import fingerprint
 
     identity = compiler_identity(cc)
     flags = tuple(flags)
-    key = shared_cache_key(fingerprint(program), identity, flags)
+    program_fp = fingerprint(program)
+    key = shared_cache_key(program_fp, identity, flags)
 
     with _LOADED_LOCK:
         cached = _LOADED.pop(key, None)
@@ -264,54 +283,37 @@ def load_shared_program(program: Program, cc: Optional[str] = None,
     info = BuildInfo(
         key=key,
         program_name=program.name,
-        program_fingerprint=fingerprint(program),
+        program_fingerprint=program_fp,
         compiler_path=identity.path,
         compiler_version_hash=identity.version_hash,
         flags=flags,
     )
-
+    store = open_store(cache_dir)
     t0 = time.perf_counter()
-    if cache_dir is not None:
-        so_path, c_path, json_path = _cache_paths(Path(cache_dir), key)
-        if so_path.exists():
-            with tracing.span("native.load", program=program.name,
-                              key=key[:12], source="disk"):
-                shared = SharedProgram(
-                    program, so_path, from_cache=True,
-                    build_seconds=time.perf_counter() - t0, info=info)
-            with _LOADED_LOCK:
-                _LOADED_STATS["disk_hits"] += 1
-                _LOADED[key] = shared
-                while len(_LOADED) > _LOADED_MAX:
-                    del _LOADED[next(iter(_LOADED))]
-            return shared
+    blob = store.get("native", key) if store is not None else None
+    bundle = unpack_native(blob) if blob is not None else None
+    if bundle is not None:
+        with tracing.span("native.load", program=program.name,
+                          key=key[:12], source="store"):
+            shared = _load_private_copy(
+                program, bundle["so"], from_cache=True,
+                build_seconds=time.perf_counter() - t0, info=info)
+        counter = "disk_hits"
+    else:
         with tracing.span("native.compile", program=program.name,
                           key=key[:12], compiler=identity.path):
             source = emit_c(program)
-            _build_so(program, source, identity.path, flags, so_path)
-        _atomic_write_text(c_path, source)
-        _atomic_write_text(json_path, info.to_json())
-        shared = SharedProgram(program, so_path, from_cache=False,
-                               build_seconds=time.perf_counter() - t0,
-                               info=info)
-    else:
-        # No persistent store: build in a private temp dir and unlink it
-        # immediately after dlopen (POSIX keeps the mapping valid).
-        tmp_dir = Path(tempfile.mkdtemp(prefix="repro_so_load_"))
-        try:
-            so_path = tmp_dir / f"{program.name}.so"
-            with tracing.span("native.compile", program=program.name,
-                              key=key[:12], compiler=identity.path):
-                _build_so(program, emit_c(program), identity.path, flags,
-                          so_path)
-            shared = SharedProgram(program, so_path, from_cache=False,
-                                   build_seconds=time.perf_counter() - t0,
-                                   info=info)
-        finally:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
+            so_bytes = _build_so(program, source, identity.path, flags)
+        if store is not None:
+            store.put("native", key,
+                      pack_native(so_bytes, source, info.to_json()))
+        shared = _load_private_copy(
+            program, so_bytes, from_cache=False,
+            build_seconds=time.perf_counter() - t0, info=info)
+        counter = "builds"
 
     with _LOADED_LOCK:
-        _LOADED_STATS["builds"] += 1
+        _LOADED_STATS[counter] += 1
         _LOADED[key] = shared
         while len(_LOADED) > _LOADED_MAX:
             del _LOADED[next(iter(_LOADED))]

@@ -10,8 +10,8 @@ histograms and cache hit rates.
 
 Beyond one process, the same protocol scales out: ``frodo serve
 --cluster N`` runs N shard servers behind a consistent-hashing router
-(:mod:`repro.serve.router`) with a shared content-addressed artifact
-store (:mod:`repro.serve.store`) so the fleet compiles each artifact —
+(:mod:`repro.serve.router`) with a shared content-addressed blob store
+(:mod:`repro.serve.store`) so the fleet compiles each artifact —
 including native ``.so``s — once.  See ``docs/serving.md`` and
 ``docs/cluster.md``.
 """
@@ -26,7 +26,7 @@ from repro.serve.protocol import (ERROR_TYPES, OPS, PROTOCOL_VERSION,  # noqa: F
 from repro.serve.server import (ReproServer, ServeConfig, ServerThread,  # noqa: F401
                                 run_server)
 from repro.serve.store import (HeatStore, LocalStore, RemoteStore,  # noqa: F401
-                               SharedArtifactCache, StoreServer)
+                               StoreServer, TieredStore)
 
 
 _LAZY = {

@@ -223,17 +223,16 @@ class AdaptiveController:
     """
 
     def __init__(self, config: AdaptiveConfig, so_cache_dir=None,
-                 heat_store=None, native_cache=None):
+                 heat_store=None):
         self.config = config
+        #: Where promotions store and find ``.so`` bundles: a path or the
+        #: serve layer's blob store (on a cluster shard, a fleet-built
+        #: ``.so`` is then a download instead of a gcc run).
         self.so_cache_dir = so_cache_dir
         #: Optional :class:`repro.serve.store.HeatStore` — persists heat
         #: next to the artifact store so a shard inheriting a slice after
         #: a re-hash starts from observed heat, not from zero.
         self.heat_store = heat_store
-        #: Optional :class:`repro.serve.store.SharedArtifactCache` — lets
-        #: a promotion fetch a fleet-built ``.so`` instead of running gcc,
-        #: and publish its own build for the other shards.
-        self.native_cache = native_cache
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple[str, bool], _Entry]" = OrderedDict()
         self._events: list[dict] = []
@@ -428,20 +427,11 @@ class AdaptiveController:
             "native.promote", model=entry.model_name,
             fingerprint=entry.program_fp[:12], fuse=entry.fuse)
         t0 = time.perf_counter()
-        memo = f"promote:{entry.program_fp}:{int(entry.fuse)}"
-        cache = self.native_cache
         try:
             with root:
-                if cache is not None and hasattr(cache, "fetch_native"):
-                    # A fleet peer may have paid gcc already — pull its
-                    # .so into the local overlay so the build is a dlopen.
-                    root.set(native_store=cache.fetch_native(
-                        program, entry.fuse, memo))
                 vm = VirtualMachine(program, backend="native",
                                     so_cache_dir=self.so_cache_dir,
                                     fuse=entry.fuse)
-                if cache is not None and hasattr(cache, "publish_native"):
-                    cache.publish_native(program, entry.fuse, memo)
                 install_cached_vm(program, vm,
                                   so_cache_dir=self.so_cache_dir)
                 promoted = promote_fingerprint(
@@ -534,22 +524,20 @@ _CONTROLLER: AdaptiveController | None = None
 
 
 def configure(config: AdaptiveConfig | None, so_cache_dir=None,
-              heat_store=None,
-              native_cache=None) -> AdaptiveController | None:
+              heat_store=None) -> AdaptiveController | None:
     """Install (or clear, with ``config=None``) this process's controller.
 
     Called once per worker process at startup (and by the inline
     ``workers=0`` pool).  Reconfiguring closes the previous controller.
-    ``heat_store`` / ``native_cache`` wire the controller into the shared
-    artifact store (see :mod:`repro.serve.store`) when serving as part of
-    a cluster — both optional, both fail-soft.
+    ``so_cache_dir`` / ``heat_store`` wire the controller into the serve
+    layer's blob store (see :mod:`repro.serve.store`) — both optional,
+    both fail-soft.
     """
     global _CONTROLLER
     if _CONTROLLER is not None:
         _CONTROLLER.close()
     _CONTROLLER = (AdaptiveController(config, so_cache_dir,
-                                      heat_store=heat_store,
-                                      native_cache=native_cache)
+                                      heat_store=heat_store)
                    if config is not None else None)
     return _CONTROLLER
 

@@ -5,38 +5,35 @@ dataflow analysis + range determination + code generation before a single
 element is executed.  All of that is a pure function of
 ``(model, generator)``, so the service stores the result — the lowered
 :class:`~repro.ir.ops.Program` plus its inport/outport buffer maps and
-summary statistics — on disk, keyed by a content address::
+summary statistics — as an ``artifact`` blob of :mod:`repro.blobstore`::
 
-    <cache_dir>/objects/<aa>/<hash>.artifact
+    <cache_dir>/artifact/<aa>/<key>.blob
 
-where ``hash = sha256(model_fingerprint : generator : backend)`` and the
-model fingerprint is the sha256 of the model's canonical ``.mdl`` text
-(so the same model uploaded as ``.slx`` or referenced as a zoo name
+where ``key = sha256(model_fingerprint : generator : backend : fuse)``
+and the model fingerprint is the sha256 of the model's canonical ``.mdl``
+text (so the same model uploaded as ``.slx`` or referenced as a zoo name
 shares one artifact).  A restarted server therefore skips code generation
 entirely for every model it has seen before — the SLNET observation that
 corpus-scale workloads re-invoke the generator over the same models far
 more often than models change.
 
-Writes are atomic (temp file + ``os.replace``) so concurrent worker
-processes sharing one cache directory can never observe a torn artifact;
-racing writers simply overwrite each other with identical bytes.
-Artifacts are pickled — the cache directory is a private, server-written
-store, not an interchange format; unreadable or version-skewed entries
-are treated as misses and rewritten.
+:class:`ArtifactCache` is only the codec: a pickle plus an
+:data:`ARTIFACT_VERSION` check over a blob store.  The store owns the
+layout, atomic writes and the digest check that turns a corrupt file
+into a miss; a version-skewed entry is a miss too, and the caller's
+recompile overwrites it.  Artifacts are pickled — the store is a
+private, server-written cache, not an interchange format.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import os
 import pickle
-import tempfile
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
+from repro.blobstore import open_store
 from repro.ir.ops import Program
 
 #: Bump when the artifact payload layout changes; older entries become
@@ -109,114 +106,42 @@ def artifact_key(model_fp: str, generator: str, backend: str = "-",
         .encode()).hexdigest()
 
 
-class ArtifactCache:
-    """On-disk artifact store shared by every worker of a server.
+def pack_artifact(artifact: Artifact) -> bytes:
+    """Serialize an artifact exactly as the store holds it."""
+    buf = io.BytesIO()
+    pickle.dump((ARTIFACT_VERSION, artifact), buf,
+                protocol=pickle.HIGHEST_PROTOCOL)
+    return buf.getvalue()
 
-    Thread-safe for in-process use (a lock guards the hit/miss counters;
-    filesystem operations are atomic on their own) and process-safe across
-    workers via write-to-temp + rename.
+
+def unpack_artifact(blob: bytes) -> Optional[Artifact]:
+    """Deserialize and validate; None for malformed or version-skewed bytes."""
+    try:
+        version, artifact = pickle.loads(blob)
+        if version != ARTIFACT_VERSION or not isinstance(artifact, Artifact):
+            return None
+    except Exception:  # noqa: BLE001 — any bad bytes are a miss
+        return None
+    return artifact
+
+
+class ArtifactCache:
+    """Artifacts over a blob store shared by every worker of a server.
+
+    ``store`` is a cache directory path or a store object: a
+    :class:`~repro.blobstore.LocalStore`, or a cluster shard's
+    :class:`~repro.serve.store.TieredStore`.  Native ``.so`` bundles
+    live in the same store (the serve layer hands it to the VM as its
+    ``so_cache_dir``).
     """
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        (self.root / "objects").mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._stats = {"hits": 0, "misses": 0, "puts": 0, "errors": 0}
-
-    # -- addressing --------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / f"{key}.artifact"
-
-    @property
-    def native_dir(self) -> Path:
-        """Shared-object store for ``backend="native"`` executions.
-
-        Sibling of ``objects/`` so one ``--cache-dir`` carries both the
-        generated programs and their compiled ``.so`` artifacts (source +
-        build metadata alongside, see :mod:`repro.native.sharedlib`).
-        Keys there already include the program fingerprint, compiler
-        identity, and flags, so this directory is safely shared by every
-        worker process and survives restarts — a warm entry lets a
-        restarted server skip code generation *and* the C compiler.
-        """
-        path = self.root / "native"
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    # -- operations --------------------------------------------------------
+    def __init__(self, store):
+        self.store = open_store(store)
 
     def get(self, key: str) -> Optional[Artifact]:
-        """Load the artifact at ``key``, or None (counted as a miss).
-
-        Corrupt, truncated, or version-skewed entries are deleted and
-        reported as misses — the caller regenerates and overwrites.
-        """
-        path = self._path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            self._count("misses")
-            return None
-        try:
-            version, artifact = pickle.loads(blob)
-            if version != ARTIFACT_VERSION or not isinstance(artifact, Artifact):
-                raise ValueError(f"artifact version {version!r}")
-        except Exception:
-            self._count("errors")
-            self._count("misses")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self._count("hits")
-        return artifact
+        """The artifact at ``key``, or None (absent, corrupt, or skewed)."""
+        blob = self.store.get("artifact", key)
+        return unpack_artifact(blob) if blob is not None else None
 
     def put(self, key: str, artifact: Artifact) -> None:
-        """Atomically persist ``artifact`` at ``key``."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        buf = io.BytesIO()
-        pickle.dump((ARTIFACT_VERSION, artifact), buf,
-                    protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(buf.getvalue())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._count("puts")
-
-    def clear(self) -> int:
-        """Delete every stored artifact; returns how many were removed."""
-        removed = 0
-        for path in self.root.glob("objects/*/*.artifact"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("objects/*/*.artifact"))
-
-    def disk_bytes(self) -> int:
-        return sum(p.stat().st_size
-                   for p in self.root.glob("objects/*/*.artifact"))
-
-    # -- stats -------------------------------------------------------------
-
-    def _count(self, name: str) -> None:
-        with self._lock:
-            self._stats[name] += 1
-
-    def stats(self) -> dict:
-        with self._lock:
-            return dict(self._stats)
+        self.store.put("artifact", key, pack_artifact(artifact))

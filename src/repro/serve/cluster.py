@@ -4,10 +4,10 @@
 tree:
 
 * a :class:`~repro.serve.store.StoreServer` thread publishing the
-  shared content-addressed artifact store (compiled artifacts, native
+  shared content-addressed blob store (compiled artifacts, native
   ``.so`` bundles, per-fingerprint heat records);
 * N single-purpose **shard** subprocesses, each a plain
-  ``frodo serve`` with its own overlay cache wired to the store
+  ``frodo serve`` whose local store sits in front of the shared one
   (``--shard-id sK --store host:port``), announcing its ephemeral port
   on stdout;
 * a :class:`~repro.serve.router.RouterThread` front door that
@@ -68,7 +68,7 @@ class ClusterConfig:
     #: fleet's parallelism lives across shards, not inside them.
     workers_per_shard: int = 1
     #: Root directory: the shared store lives in ``<root>/store``, each
-    #: shard's overlay cache in ``<root>/shard-<name>``.
+    #: shard's local store in ``<root>/shard-<name>``.
     root: str = ".frodo-cluster"
     #: Respawn shards that die unexpectedly.
     respawn: bool = True

@@ -133,50 +133,36 @@ def _fuse_flag(req: dict) -> bool:
 
 
 def _native_vm(program, backend: str, ctx: "HandlerContext",
-               fuse: bool = True, sync_key: str | None = None):
-    """``cached_vm`` with native-backend wiring: the ``.so`` store lives in
-    the artifact cache, and toolchain failures become the typed
-    ``native_unavailable`` error instead of an internal one (explicit
-    ``backend="native"`` never silently falls back — benchmark numbers
-    must not lie).  ``backend="auto"`` may resolve to a *native* VM when
-    the program's fingerprint was promoted by the adaptive tier (see
-    :mod:`repro.serve.adaptive`); callers report ``vm.backend`` as the
-    effective backend.
+               fuse: bool = True):
+    """``cached_vm`` with native-backend wiring: ``.so`` bundles live in
+    the artifact cache's blob store, and toolchain failures become the
+    typed ``native_unavailable`` error instead of an internal one
+    (explicit ``backend="native"`` never silently falls back — benchmark
+    numbers must not lie).  ``backend="auto"`` may resolve to a *native*
+    VM when the program's fingerprint was promoted by the adaptive tier
+    (see :mod:`repro.serve.adaptive`); callers report ``vm.backend`` as
+    the effective backend.
 
-    With a store-backed cache (:class:`repro.serve.store.SharedArtifactCache`)
-    and ``backend="native"``, the shared ``.so`` store is consulted before
-    building (another shard's compile becomes a download + dlopen) and a
-    locally built library is published after — the fleet pays gcc once
-    per distinct program.  ``sync_key`` memoizes that exchange per
-    artifact, keeping warm requests network-free."""
+    On a cluster shard that store is the shard's local store in front of
+    the shared one, so another shard's build is a download + dlopen and
+    a local build is published — the fleet pays gcc once per distinct
+    program."""
     from repro.errors import NativeToolchainError
     from repro.ir.interp import cached_vm
-    so_dir = None
+    so_store = None
     if backend == "native" and ctx.cache is not None:
-        so_dir = ctx.cache.native_dir
-    shared_store = (backend == "native" and sync_key is not None
-                    and hasattr(ctx.cache, "fetch_native"))
-    if shared_store:
-        fetch = tracing.span("store.native_fetch", key=sync_key[:32])
-        with fetch:
-            status = ctx.cache.fetch_native(program, fuse, sync_key)
-            fetch.set(outcome=status)
-        if status in ("fetched", "local", "miss"):
-            ctx.meta["native_store"] = status
+        so_store = ctx.cache.store
     try:
         acquire = tracing.span("vm.acquire", backend=backend,
                                program=program.name, fuse=fuse)
         with acquire:
-            vm = cached_vm(program, backend=backend, so_cache_dir=so_dir,
+            vm = cached_vm(program, backend=backend, so_cache_dir=so_store,
                            fuse=fuse)
             if vm.backend != backend:
                 acquire.set(backend_effective=vm.backend)
             if vm.fusion_stats is not None:
                 acquire.set(**{f"fusion_{k}": v for k, v
                                in vm.fusion_stats.as_dict().items()})
-        if shared_store and vm.backend == "native":
-            if ctx.cache.publish_native(program, fuse, sync_key):
-                ctx.meta["native_store"] = "published"
         return vm
     except NativeToolchainError as exc:
         raise ServeError("native_unavailable", str(exc))
@@ -352,8 +338,7 @@ def op_run(req: dict, ctx: "HandlerContext") -> dict:
     inputs = _decode_inputs(req, model, artifact, seed)
     _observe_adaptive(artifact, backend, steps, 1, fuse, ctx)
     hits_before = vm_cache_stats()["hits"]
-    vm = _native_vm(artifact.program, backend, ctx, fuse,
-                    sync_key=f"{model_fp}:{generator}")
+    vm = _native_vm(artifact.program, backend, ctx, fuse)
     ctx.meta["vm_cache"] = (
         "hit" if vm_cache_stats()["hits"] > hits_before else "miss")
     t0 = time.perf_counter()
@@ -450,8 +435,7 @@ def op_run_batch(req: dict, ctx: "HandlerContext") -> dict:
     _observe_adaptive(artifact, backend, steps, max(len(decoded), 1), fuse,
                       ctx)
     hits_before = vm_cache_stats()["hits"]
-    vm = _native_vm(artifact.program, backend, ctx, fuse,
-                    sync_key=f"{model_fp}:{generator}")
+    vm = _native_vm(artifact.program, backend, ctx, fuse)
     ctx.meta["vm_cache"] = (
         "hit" if vm_cache_stats()["hits"] > hits_before else "miss")
     ctx.meta["batched"] = len(decoded)
@@ -552,8 +536,7 @@ def op_report(req: dict, ctx: "HandlerContext") -> dict:
                                           backend, ctx.cache, fuse)
         artifact_hits += source == "hit"
         artifact_misses += source == "miss"
-        vm = _native_vm(artifact.program, backend, ctx, fuse,
-                        sync_key=f"{model_fp}:{generator}")
+        vm = _native_vm(artifact.program, backend, ctx, fuse)
         inputs = {artifact.input_buffers[n]: v for n, v in named.items()}
         totals = vm.run(inputs, steps=steps).counts.total
         rows.append({

@@ -2,16 +2,16 @@
 
 Each worker is a separate OS process holding its own warm state — the
 module-level VM cache (:func:`repro.ir.interp.cached_vm`) plus an
-:class:`~repro.serve.cache.ArtifactCache` handle on the shared on-disk
-store.  Process isolation is what makes concurrency safe here: a
-:class:`~repro.ir.interp.VirtualMachine` is not reentrant (its buffers
-and counters mutate in place), so the pool guarantees each worker runs
-exactly one request at a time and shares nothing mutable across workers
-except the atomically-written artifact directory — which also holds the
-``backend="native"`` shared-object store (``<cache_dir>/native/``):
-``.so`` installs are atomic renames keyed by content, so the first
-worker to build a program's library pays the compiler once and every
-other worker (and every restart) dlopens the same file.
+:class:`~repro.serve.cache.ArtifactCache` handle on the shared blob
+store (:mod:`repro.blobstore`).  Process isolation is what makes
+concurrency safe here: a :class:`~repro.ir.interp.VirtualMachine` is not
+reentrant (its buffers and counters mutate in place), so the pool
+guarantees each worker runs exactly one request at a time and shares
+nothing mutable across workers except the store directory — which holds
+the ``backend="native"`` ``.so`` bundles next to the artifacts.  Blob
+writes are atomic renames keyed by content, so the first worker to
+build a program's library pays the compiler once and every other worker
+(and every restart) loads the stored bundle.
 
 Dispatch policy:
 
@@ -52,30 +52,31 @@ def _start_context():
 
 
 def _build_cache(config: "PoolConfig"):
-    """The worker's artifact cache: shared (store-backed) or plain local."""
+    """The worker's artifact cache over its ``--cache-dir`` store, which
+    fronts the cluster's shared store when one is configured."""
     if not config.cache_dir:
         return None
-    if config.store:
-        from repro.serve.store import RemoteStore, SharedArtifactCache
-        return SharedArtifactCache(config.cache_dir,
-                                   RemoteStore.parse(config.store))
+    from repro.blobstore import LocalStore
     from repro.serve.cache import ArtifactCache
-    return ArtifactCache(config.cache_dir)
+    store = LocalStore(config.cache_dir)
+    if config.store:
+        from repro.serve.store import RemoteStore, TieredStore
+        store = TieredStore(store, RemoteStore.parse(config.store))
+    return ArtifactCache(store)
 
 
 def _heat_store(cache):
     """Where this process persists adaptive heat (see docs/cluster.md).
 
-    Store-backed caches share heat fleet-wide next to the artifacts; a
-    plain local cache keeps it under ``<cache_dir>/heat/`` so a restarted
-    single server also resumes from observed heat.
+    A cluster shard reads and writes heat on the shared store directly,
+    never through its local tier, so every shard sees the newest record;
+    a single server keeps it under ``<cache_dir>/heat/`` so a restart
+    also resumes from observed heat.
     """
     if cache is None:
         return None
-    from repro.serve.store import HeatStore, LocalStore
-    if hasattr(cache, "heat_store"):
-        return cache.heat_store()
-    return HeatStore(LocalStore(cache.root))
+    from repro.serve.store import HeatStore
+    return HeatStore(getattr(cache.store, "remote", cache.store))
 
 
 def _configure_runtime(cache, config: "PoolConfig") -> None:
@@ -87,10 +88,9 @@ def _configure_runtime(cache, config: "PoolConfig") -> None:
         set_vm_cache_limit(config.vm_cache_max)
     if config.adaptive is not None:
         from repro.serve import adaptive
-        so_dir = cache.native_dir if cache is not None else None
-        adaptive.configure(config.adaptive, so_cache_dir=so_dir,
-                           heat_store=_heat_store(cache),
-                           native_cache=cache)
+        so_store = cache.store if cache is not None else None
+        adaptive.configure(config.adaptive, so_cache_dir=so_store,
+                           heat_store=_heat_store(cache))
 
 
 def _worker_main(conn, config: "PoolConfig") -> None:
@@ -220,9 +220,9 @@ class PoolConfig:
     adaptive: object | None = None
     #: Per-worker warm VM cache bound (``None`` keeps the interp default).
     vm_cache_max: int | None = None
-    #: ``host:port`` of a shared artifact store; workers then build a
-    #: :class:`~repro.serve.store.SharedArtifactCache` (remote
-    #: read-through + publish) instead of a plain local cache.
+    #: ``host:port`` of a shared blob store; workers then put their
+    #: local store in front of it (:class:`~repro.serve.store.TieredStore`:
+    #: remote read-through + publish).
     store: str | None = None
     #: Shard identity stamped into response meta and metrics labels
     #: (cluster mode; None for plain single-process servers).

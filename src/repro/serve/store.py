@@ -1,32 +1,34 @@
-"""Shared content-addressed artifact store for sharded serving.
+"""Shared content-addressed blob store for sharded serving.
 
-The cache keys in :mod:`repro.serve.cache` are location-independent by
-construction — ``sha256(model_fp : generator : backend : fuse)`` names
-the same bytes on every box — so scaling the cache out is a transport
-problem, not a keying problem.  This module supplies that transport:
+Every on-disk cache is one :mod:`repro.blobstore` store keyed by
+``(kind, key)``, and its keys are location-independent by construction —
+``sha256(model_fp : generator : backend : fuse)`` names the same bytes
+on every box — so scaling the cache out is a transport problem, not a
+keying problem.  This module supplies that transport:
 
-* :class:`LocalStore` — flat content-addressed blob directory
-  (``<root>/<kind>/<aa>/<key>.blob``), atomic writes, three blob kinds:
-  ``artifact`` (pickled compile results), ``native`` (packed ``.so``
-  bundles: shared object + C source + build metadata), and ``heat``
-  (JSON per-fingerprint adaptive-tier heat snapshots);
 * :class:`StoreServer` / :class:`RemoteStore` — a tiny NDJSON-over-TCP
-  get/put/has/stat protocol (blobs ride base64) so N shard processes
-  share one store;
-* :class:`SharedArtifactCache` — an :class:`~repro.serve.cache.ArtifactCache`
-  with a **local overlay**: reads check the local directory first, fall
-  through to the remote store (validating and re-materializing locally),
-  and writes publish back, so the fleet compiles each distinct
-  fingerprint once and every shard still serves hot keys from its own
-  disk;
-* :class:`HeatStore` — per-fingerprint heat persistence next to the
-  artifacts, letting a shard that inherits a slice after a re-hash start
-  from observed heat instead of cold (see :mod:`repro.serve.adaptive`).
+  get/put/stat protocol (blobs ride base64) over one
+  :class:`~repro.blobstore.LocalStore`, so N shard processes share one
+  store;
+* :class:`TieredStore` — a shard's store: its own local store in front
+  of the remote one.  Reads go local first and copy a remote hit into
+  the local tier; writes go local, then publish best-effort.  Artifacts
+  and native ``.so`` bundles both ride it, so the fleet compiles each
+  distinct program once and every shard still serves hot keys from its
+  own disk;
+* :class:`HeatStore` — per-fingerprint heat records, letting a shard
+  that inherits a slice after a re-hash start from observed heat
+  instead of cold (see :mod:`repro.serve.adaptive`).  Heat is the one
+  mutable kind: in a cluster it is read and written on the shared store
+  directly, never through a local tier whose stale copy would hide
+  another shard's newer record.
 
-A corrupted remote blob is **never served**: deserialization happens
-before the overlay write, failures count as misses, and the caller
-recompiles locally (its eventual ``put`` overwrites the bad remote
-entry with good bytes).
+A corrupt blob is **never served**: the store behind every tier checks
+each blob's sha256 on ``get`` and deletes a mismatching file, so the
+read is a miss and the caller rebuilds (its eventual ``put`` replaces
+the bad entry with good bytes).  Remote failures are soft: a store
+outage degrades the fleet to per-shard caching instead of failing
+requests.
 """
 
 from __future__ import annotations
@@ -35,92 +37,18 @@ import base64
 import hashlib
 import io
 import json
-import os
-import pickle
-import re
 import socket
 import socketserver
-import tempfile
 import threading
 from pathlib import Path
 from typing import Optional
 
-from repro.serve.cache import ARTIFACT_VERSION, Artifact, ArtifactCache
-
-#: Blob namespaces the store accepts.
-STORE_KINDS = ("artifact", "native", "heat")
-
-#: Keys are hex digests — anything else is rejected before it can touch
-#: the filesystem (no path traversal by construction).
-_KEY_RE = re.compile(r"^[0-9a-f]{8,128}$")
-
-#: Bump when the packed native-bundle layout changes.
-NATIVE_BUNDLE_VERSION = 1
+from repro.blobstore import LocalStore, StoreError, check_address
+from repro.serve.cache import pack_artifact  # noqa: F401 — re-export
 
 #: One request or response line on the store protocol (native bundles
 #: carry whole ``.so`` files as base64).
 STORE_MAX_LINE = 64 * 1024 * 1024
-
-
-class StoreError(Exception):
-    """A store operation failed (network, protocol, or invalid input)."""
-
-
-def _check(kind: str, key: str) -> None:
-    if kind not in STORE_KINDS:
-        raise StoreError(f"unknown blob kind {kind!r}; "
-                         f"expected one of {STORE_KINDS}")
-    if not isinstance(key, str) or not _KEY_RE.match(key):
-        raise StoreError(f"invalid store key {key!r} (need lowercase hex)")
-
-
-class LocalStore:
-    """Content-addressed blob directory: ``<root>/<kind>/<aa>/<key>.blob``."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path(self, kind: str, key: str) -> Path:
-        _check(kind, key)
-        return self.root / kind / key[:2] / f"{key}.blob"
-
-    def get(self, kind: str, key: str) -> Optional[bytes]:
-        try:
-            return self.path(kind, key).read_bytes()
-        except OSError:
-            return None
-
-    def put(self, kind: str, key: str, blob: bytes) -> None:
-        path = self.path(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def has(self, kind: str, key: str) -> bool:
-        return self.path(kind, key).exists()
-
-    def stat(self) -> dict:
-        out: dict = {}
-        for kind in STORE_KINDS:
-            count = size = 0
-            for path in self.root.glob(f"{kind}/*/*.blob"):
-                try:
-                    size += path.stat().st_size
-                    count += 1
-                except OSError:
-                    pass
-            out[kind] = {"count": count, "bytes": size}
-        return out
 
 
 # -- wire protocol -------------------------------------------------------------
@@ -167,8 +95,8 @@ class StoreServer(socketserver.ThreadingTCPServer):
                  port: int = 0):
         self.store = LocalStore(root)
         self._counts_lock = threading.Lock()
-        self.counts = {"get": 0, "get_hit": 0, "put": 0, "has": 0,
-                       "stat": 0, "errors": 0}
+        self.counts = {"get": 0, "get_hit": 0, "put": 0, "stat": 0,
+                       "errors": 0}
         self._thread: threading.Thread | None = None
         super().__init__((host, port), _StoreHandler)
 
@@ -200,7 +128,7 @@ class StoreServer(socketserver.ThreadingTCPServer):
                     "counts": dict(self.counts)}
         kind, key = req.get("kind", ""), req.get("key", "")
         try:
-            _check(kind, key)
+            check_address(kind, key)
         except StoreError as exc:
             self._count("errors")
             return {"ok": False, "error": str(exc)}
@@ -221,9 +149,6 @@ class StoreServer(socketserver.ThreadingTCPServer):
                 return {"ok": False, "error": f"bad blob encoding: {exc}"}
             self.store.put(kind, key, blob)
             return {"ok": True, "stored": len(blob)}
-        if op == "has":
-            self._count("has")
-            return {"ok": True, "found": self.store.has(kind, key)}
         self._count("errors")
         return {"ok": False, "error": f"unknown store op {op!r}"}
 
@@ -336,7 +261,7 @@ class RemoteStore:
     # -- operations --------------------------------------------------------
 
     def get(self, kind: str, key: str) -> Optional[bytes]:
-        _check(kind, key)
+        check_address(kind, key)
         resp = self._request({"op": "get", "kind": kind, "key": key})
         if not resp.get("found"):
             return None
@@ -346,58 +271,50 @@ class RemoteStore:
             raise StoreError(f"store returned undecodable blob: {exc}")
 
     def put(self, kind: str, key: str, blob: bytes) -> None:
-        _check(kind, key)
+        check_address(kind, key)
         self._request({"op": "put", "kind": kind, "key": key,
                        "blob": base64.b64encode(blob).decode()})
-
-    def has(self, kind: str, key: str) -> bool:
-        _check(kind, key)
-        return bool(self._request({"op": "has", "kind": kind,
-                                   "key": key}).get("found"))
 
     def stat(self) -> dict:
         return self._request({"op": "stat"})
 
 
-# -- artifact / native packing -------------------------------------------------
+# -- the shard-side composition -----------------------------------------------
 
 
-def pack_artifact(artifact: Artifact) -> bytes:
-    """Serialize an artifact exactly as the on-disk cache stores it."""
-    buf = io.BytesIO()
-    pickle.dump((ARTIFACT_VERSION, artifact), buf,
-                protocol=pickle.HIGHEST_PROTOCOL)
-    return buf.getvalue()
+class TieredStore:
+    """A shard's local store in front of the fleet's remote store.
 
+    ``get``: the local tier first (hot path, no network), then the
+    remote one; a remote hit is copied into the local tier so the next
+    read never leaves the shard.  ``put``: the local tier, then a
+    best-effort publish.  Remote failures are soft — an unreachable
+    store makes a read a miss and a publish a no-op, never a failed
+    request.
+    """
 
-def unpack_artifact(blob: bytes) -> Optional[Artifact]:
-    """Deserialize and validate; None for corrupt or version-skewed bytes."""
-    try:
-        version, artifact = pickle.loads(blob)
-        if version != ARTIFACT_VERSION or not isinstance(artifact, Artifact):
+    def __init__(self, local: LocalStore, remote: RemoteStore):
+        self.local = local
+        self.remote = remote
+
+    def get(self, kind: str, key: str) -> Optional[bytes]:
+        blob = self.local.get(kind, key)
+        if blob is not None:
+            return blob
+        try:
+            blob = self.remote.get(kind, key)
+        except StoreError:
             return None
-    except Exception:  # noqa: BLE001 — any bad bytes are a miss
-        return None
-    return artifact
+        if blob is not None:
+            self.local.put(kind, key, blob)
+        return blob
 
-
-def pack_native(so_bytes: bytes, c_source: str, info_json: str) -> bytes:
-    buf = io.BytesIO()
-    pickle.dump((NATIVE_BUNDLE_VERSION,
-                 {"so": so_bytes, "c": c_source, "info": info_json}),
-                buf, protocol=pickle.HIGHEST_PROTOCOL)
-    return buf.getvalue()
-
-
-def unpack_native(blob: bytes) -> Optional[dict]:
-    try:
-        version, bundle = pickle.loads(blob)
-        if version != NATIVE_BUNDLE_VERSION or not isinstance(bundle, dict) \
-                or not isinstance(bundle.get("so"), bytes):
-            return None
-    except Exception:  # noqa: BLE001
-        return None
-    return bundle
+    def put(self, kind: str, key: str, blob: bytes) -> None:
+        self.local.put(kind, key, blob)
+        try:
+            self.remote.put(kind, key, blob)
+        except StoreError:
+            pass
 
 
 # -- heat persistence ----------------------------------------------------------
@@ -413,8 +330,9 @@ class HeatStore:
     """Per-fingerprint heat records over any get/put backend.
 
     Backed by either a :class:`RemoteStore` (cluster mode: heat lives
-    next to the shared artifacts) or a :class:`LocalStore` (single
-    server: ``<cache_dir>/heat/``).  All failures are soft — heat is an
+    next to the shared artifacts and is read and written there
+    directly) or a :class:`~repro.blobstore.LocalStore` (single server:
+    ``<cache_dir>/heat/``).  All failures are soft — heat is an
     optimization hint, never worth failing a request over.
     """
 
@@ -441,217 +359,3 @@ class HeatStore:
         except (StoreError, TypeError, ValueError, OSError):
             self.errors += 1
             return False
-
-
-# -- the shard-side cache ------------------------------------------------------
-
-
-class SharedArtifactCache(ArtifactCache):
-    """Artifact cache with a remote read-through/publish tier.
-
-    ``get``: local overlay first (hot path, no network), then the remote
-    store — a valid remote blob is re-materialized into the overlay (so
-    the *next* request is local) and reported as a hit; a corrupt remote
-    blob is counted and treated as a miss, never served.
-
-    ``put``: writes the overlay, then best-effort publishes to the
-    remote store — a store outage degrades the fleet to per-shard
-    caching instead of failing requests.
-
-    ``backend="native"`` ``.so`` bundles ride the same store (see
-    :meth:`fetch_native` / :meth:`publish_native`): the first shard to
-    compile a program publishes the shared object, and every other
-    shard's "compile" becomes a download + dlopen.
-    """
-
-    def __init__(self, root: str | Path, remote: RemoteStore):
-        super().__init__(root)
-        self.remote = remote
-        with self._lock:
-            self._stats.update(remote_hits=0, remote_errors=0,
-                               remote_publishes=0, native_fetched=0,
-                               native_published=0)
-        #: Memoized native-store sync decisions, keyed by the caller's
-        #: cheap per-artifact key (one fuse+lower+fingerprint chain and
-        #: at most one has/put round-trip per artifact per process).
-        self._native_fetch_seen: dict[str, str] = {}
-        self._native_publish_seen: set[str] = set()
-        self._native_keys: dict[str, str] = {}
-        self._native_lock = threading.Lock()
-
-    def heat_store(self) -> HeatStore:
-        return HeatStore(self.remote)
-
-    # -- artifacts ---------------------------------------------------------
-
-    def get(self, key: str) -> Optional[Artifact]:
-        path = self._path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            blob = None
-        if blob is not None:
-            artifact = unpack_artifact(blob)
-            if artifact is not None:
-                self._count("hits")
-                return artifact
-            self._count("errors")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        try:
-            remote_blob = self.remote.get("artifact", key)
-        except StoreError:
-            self._count("remote_errors")
-            remote_blob = None
-        if remote_blob is not None:
-            artifact = unpack_artifact(remote_blob)
-            if artifact is not None:
-                # Re-materialize into the overlay so the next request for
-                # this key never leaves the shard.
-                super().put(key, artifact)
-                with self._lock:
-                    self._stats["puts"] -= 1  # internal copy, not a user put
-                    self._stats["hits"] += 1
-                    self._stats["remote_hits"] += 1
-                return artifact
-            self._count("remote_errors")
-        self._count("misses")
-        return None
-
-    def put(self, key: str, artifact: Artifact) -> None:
-        super().put(key, artifact)
-        try:
-            self.remote.put("artifact", key, pack_artifact(artifact))
-            self._count("remote_publishes")
-        except StoreError:
-            self._count("remote_errors")
-
-    # -- native .so bundles ------------------------------------------------
-
-    def _native_key(self, program, fuse: bool, memo: str) -> Optional[str]:
-        """Shared-object store key for ``program`` as the VM builds it.
-
-        Mirrors the VM's native pipeline exactly (fuse, then physical
-        window lowering) so the key matches what
-        :func:`repro.native.sharedlib.load_shared_program` computes.
-        Returns None when no toolchain is available.
-        """
-        with self._native_lock:
-            cached = self._native_keys.get(memo)
-        if cached is not None:
-            return cached or None
-        from repro.errors import NativeToolchainError
-        from repro.ir.fuse import fuse_program, lower_windows
-        from repro.ir.vectorize import fingerprint
-        from repro.native.compile import DEFAULT_FLAGS, compiler_identity
-        from repro.native.sharedlib import shared_cache_key
-        try:
-            identity = compiler_identity(None)
-        except NativeToolchainError:
-            with self._native_lock:
-                self._native_keys[memo] = ""
-            return None
-        if fuse:
-            program, _ = fuse_program(program)
-        key = shared_cache_key(fingerprint(lower_windows(program)),
-                               identity, tuple(DEFAULT_FLAGS))
-        with self._native_lock:
-            self._native_keys[memo] = key
-        return key
-
-    def _so_paths(self, key: str):
-        from repro.native.sharedlib import _cache_paths
-        return _cache_paths(self.native_dir, key)
-
-    def fetch_native(self, program, fuse: bool, memo: str) -> str:
-        """Materialize the remote ``.so`` bundle locally if we lack it.
-
-        Returns ``"local"`` (already on disk), ``"fetched"`` (downloaded
-        from the store), ``"miss"`` (store lacks it — caller compiles),
-        ``"unavailable"`` (no toolchain) or ``"error"``.  Memoized per
-        ``memo`` so the request hot path pays nothing after the first
-        sighting of an artifact.
-        """
-        with self._native_lock:
-            seen = self._native_fetch_seen.get(memo)
-        if seen is not None:
-            return seen
-        status = self._fetch_native_uncached(program, fuse, memo)
-        if status != "error":  # transient store outages retry next request
-            with self._native_lock:
-                self._native_fetch_seen[memo] = status
-        return status
-
-    def _fetch_native_uncached(self, program, fuse: bool, memo: str) -> str:
-        key = self._native_key(program, fuse, memo)
-        if key is None:
-            return "unavailable"
-        so_path, c_path, json_path = self._so_paths(key)
-        if so_path.exists():
-            return "local"
-        try:
-            blob = self.remote.get("native", key)
-        except StoreError:
-            self._count("remote_errors")
-            return "error"
-        if blob is None:
-            return "miss"
-        bundle = unpack_native(blob)
-        if bundle is None:
-            self._count("remote_errors")
-            return "miss"
-        so_path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=so_path.parent, suffix=".so.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(bundle["so"])
-            os.replace(tmp, so_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        for path, text in ((c_path, bundle.get("c")),
-                           (json_path, bundle.get("info"))):
-            if isinstance(text, str):
-                from repro.native.sharedlib import _atomic_write_text
-                _atomic_write_text(path, text)
-        self._count("native_fetched")
-        return "fetched"
-
-    def publish_native(self, program, fuse: bool, memo: str) -> bool:
-        """Publish this shard's compiled ``.so`` (if any) to the store.
-
-        Called after a native VM is built; at most one has/put exchange
-        per ``memo`` per process.  Returns True when this call uploaded
-        the bundle.
-        """
-        with self._native_lock:
-            if memo in self._native_publish_seen:
-                return False
-        key = self._native_key(program, fuse, memo)
-        published = False
-        if key is not None:
-            so_path, c_path, json_path = self._so_paths(key)
-            if so_path.exists():
-                try:
-                    if not self.remote.has("native", key):
-                        blob = pack_native(
-                            so_path.read_bytes(),
-                            c_path.read_text() if c_path.exists() else "",
-                            json_path.read_text() if json_path.exists()
-                            else "")
-                        self.remote.put("native", key, blob)
-                        self._count("native_published")
-                        published = True
-                except (StoreError, OSError):
-                    self._count("remote_errors")
-                    return False
-            else:
-                return False  # nothing built yet; retry on a later request
-        with self._native_lock:
-            self._native_publish_seen.add(memo)
-        return published

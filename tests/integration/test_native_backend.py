@@ -177,16 +177,23 @@ class TestWarmCache:
         assert shared_program_stats()["hits"] >= before["hits"] + 1
 
     def test_cache_dir_persists_source_and_metadata(self, tmp_path):
+        """One ``native`` blob per build holds the ``.so``, its C source
+        and the BuildInfo JSON."""
+        import json
+
+        from repro.blobstore import LocalStore
+        from repro.native.sharedlib import unpack_native
         code = stateful_code()
         clear_shared_program_cache()
         load_shared_program(code.program, cache_dir=tmp_path)
-        sos = list(tmp_path.glob("*/*.so"))
-        assert len(sos) == 1
-        key = sos[0].stem
-        source = sos[0].with_suffix(".c").read_text()
-        assert f"{code.program.name}_step" in source
-        import json
-        info = json.loads(sos[0].with_suffix(".json").read_text())
+        blobs = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(blobs) == 1
+        assert blobs[0].relative_to(tmp_path).parts[0] == "native"
+        key = blobs[0].name.removesuffix(".blob")
+        bundle = unpack_native(LocalStore(tmp_path).get("native", key))
+        assert bundle["so"].startswith(b"\x7fELF")
+        assert f"{code.program.name}_step" in bundle["c"]
+        info = json.loads(bundle["info"])
         assert info["key"] == key
         assert info["compiler_path"]
         assert info["compiler_version_hash"]
@@ -258,7 +265,12 @@ class TestServeNative:
                "backend": "native", "steps": 2}
         result, _ = handle_request(req, cache)
         assert "counts_exact" in result
-        assert list(cache.native_dir.glob("*/*.so"))
+        # The artifact and its .so bundle share the cache's one layout.
+        kinds = sorted(p.relative_to(tmp_path).parts[0]
+                       for p in tmp_path.rglob("*") if p.is_file())
+        assert kinds == ["artifact", "native"]
+        assert all(p.suffix == ".blob"
+                   for p in tmp_path.rglob("*") if p.is_file())
         # second request: artifact cache + .so registry, same outputs
         result2, _ = handle_request(req, cache)
         assert result["counts"] == result2["counts"]

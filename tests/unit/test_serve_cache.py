@@ -62,9 +62,10 @@ class TestArtifactCache:
         loaded = cache.get(key)
         assert loaded is not None
         assert loaded.model_name == artifact.model_name
-        assert cache.stats() == {"hits": 1, "misses": 1, "puts": 1,
-                                 "errors": 0}
-        assert len(cache) == 1
+        # One layout: the artifact is one blob of the cache's store.
+        assert [p.relative_to(tmp_path).as_posix()
+                for p in tmp_path.rglob("*") if p.is_file()] == \
+            [f"artifact/{key[:2]}/{key}.blob"]
 
     def test_restart_persistence_and_equivalence(self, tmp_path):
         """A second cache instance (a 'restarted server') serves the same
@@ -89,29 +90,22 @@ class TestArtifactCache:
         _, artifact = _make_artifact()
         key = artifact_key(artifact.model_fingerprint, "frodo", "auto")
         cache.put(key, artifact)
-        path = cache._path(key)
-        path.write_bytes(b"not a pickle")
+        path = cache.store.path("artifact", key)
+        path.write_bytes(path.read_bytes()[:100])
         assert cache.get(key) is None
         assert not path.exists()
-        assert cache.stats()["errors"] == 1
+        cache.put(key, artifact)  # the caller's recompile replaces it
+        assert cache.get(key) is not None
 
     def test_version_skew_is_a_miss(self, tmp_path):
         import pickle
         cache = ArtifactCache(tmp_path)
         _, artifact = _make_artifact()
         key = artifact_key(artifact.model_fingerprint, "frodo", "auto")
-        cache._path(key).parent.mkdir(parents=True, exist_ok=True)
-        cache._path(key).write_bytes(pickle.dumps((999, artifact)))
+        cache.store.put("artifact", key, pickle.dumps((999, artifact)))
         assert cache.get(key) is None
-
-    def test_clear(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        _, artifact = _make_artifact()
-        cache.put(artifact_key("a", "frodo"), artifact)
-        cache.put(artifact_key("b", "frodo"), artifact)
-        assert cache.disk_bytes() > 0
-        assert cache.clear() == 2
-        assert len(cache) == 0
+        cache.put(key, artifact)  # the recompile overwrites the entry
+        assert cache.get(key) is not None
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -119,7 +113,6 @@ class TestArtifactCache:
         key = artifact_key("same", "frodo")
         cache.put(key, artifact)
         cache.put(key, artifact)  # racing writers overwrite identically
-        assert len(cache) == 1
         assert cache.get(key) is not None
-        leftovers = list(tmp_path.glob("objects/*/*.tmp"))
-        assert leftovers == []
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert files == [cache.store.path("artifact", key)]
