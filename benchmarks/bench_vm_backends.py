@@ -1,9 +1,10 @@
 """Closure-vs-vector-vs-native VM backend benchmark (`BENCH_vm.json`).
 
-Times one step of each generated program under every execution backend
-(``closure``, ``vector``, ``auto``, and — when a C toolchain is present —
-``native``, the emitted C compiled into an in-process shared object),
-cross-checks that outputs and ``ContextCounts`` stay bit-identical,
+Times the per-step cost of each generated program under every execution
+backend (``closure``, ``vector``, ``auto``, and — when a C toolchain is
+present — ``native``, the emitted C compiled into an in-process shared
+object; the native column times runs of ``NATIVE_STEPS`` steps, see
+below), cross-checks that outputs and ``ContextCounts`` stay bit-identical,
 measures the program-cache hit path and the native cold-compile vs
 warm-``.so`` gap, and records everything to ``BENCH_vm.json`` at the
 repo root so successive PRs can track the perf trajectory.
@@ -39,6 +40,11 @@ from repro.zoo import build_model                   # noqa: E402
 DEFAULT_MODELS = ("ImagePipeline", "AudioProcess")
 DEFAULT_GENERATORS = ("simulink", "dfsynth", "hcg", "frodo")
 INTERP_BACKENDS = ("closure", "vector", "auto")
+#: Steps per timed native run.  A native step is microseconds of C, so a
+#: one-step run times mostly the Python around the call and sits under
+#: any useful noise floor; like perfbench's kernel workload, the native
+#: column times runs of this many steps and reports milliseconds per step.
+NATIVE_STEPS = 64
 
 
 def best_of(fn, repeats: int, warmup: int = 1) -> float:
@@ -85,7 +91,9 @@ def bench_cell(model_name: str, generator: str, steps: int,
                                    repeats)
 
     native: dict = {}
+    timed_steps = {backend: steps for backend in INTERP_BACKENDS}
     if so_cache_dir is not None:
+        timed_steps["native"] = NATIVE_STEPS
         # cold: code generation + C compiler + dlopen, all on one timer
         clear_shared_program_cache()
         t0 = time.perf_counter()
@@ -93,10 +101,10 @@ def bench_cell(model_name: str, generator: str, steps: int,
                             so_cache_dir=so_cache_dir)
         cold_s = time.perf_counter() - t0
         results["native"] = vm.run(inputs, steps=steps)
-        timings["native"] = best_of(lambda: vm.run(inputs, steps=steps),
-                                    repeats)
+        timings["native"] = best_of(
+            lambda: vm.run(inputs, steps=NATIVE_STEPS), repeats)
         with profile_vm() as prof:
-            vm.run(inputs, steps=steps)
+            vm.run(inputs, steps=NATIVE_STEPS)
         stages["native"] = prof.as_dict()
         plain = VirtualMachine(code.program, backend="native",
                                so_cache_dir=so_cache_dir, fuse=False)
@@ -106,8 +114,8 @@ def bench_cell(model_name: str, generator: str, steps: int,
                 np.asarray(results["native"].outputs[name]).tobytes(), (
                 f"{model_name}/{generator}: fused native output "
                 f"{name!r} diverges from unfused")
-        unfused["native"] = best_of(lambda: plain.run(inputs, steps=steps),
-                                    repeats)
+        unfused["native"] = best_of(
+            lambda: plain.run(inputs, steps=NATIVE_STEPS), repeats)
         # warm: the .so is on disk — a fresh process image (simulated by
         # dropping the in-process registry) skips codegen and cc entirely
         clear_shared_program_cache()
@@ -134,14 +142,16 @@ def bench_cell(model_name: str, generator: str, steps: int,
                 f"{model_name}/{generator}: output {name!r} diverges "
                 f"under {backend}")
 
-    ms = {b: timings[b] * 1e3 / steps for b in timings}
-    ms_unfused = {b: unfused[b] * 1e3 / steps for b in unfused}
+    ms = {b: timings[b] * 1e3 / timed_steps[b] for b in timings}
+    ms_unfused = {b: unfused[b] * 1e3 / timed_steps[b] for b in unfused}
     cell = {
         "model": model_name,
         "generator": generator,
         "steps": steps,
-        "ms_per_step": {b: round(v, 4) for b, v in ms.items()},
-        "ms_per_step_unfused": {b: round(v, 4)
+        "timed_steps": timed_steps,
+        # Native steps are microseconds: keep nanosecond resolution.
+        "ms_per_step": {b: round(v, 6) for b, v in ms.items()},
+        "ms_per_step_unfused": {b: round(v, 6)
                                 for b, v in ms_unfused.items()},
         "fusion_speedup": {b: round(ms_unfused[b] / ms[b], 2)
                            for b in ms_unfused},
@@ -234,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "compiler": compiler,
-        "config": {"steps": args.steps, "repeats": repeats,
+        "config": {"steps": args.steps, "native_steps": NATIVE_STEPS,
+                   "repeats": repeats,
                    "quick": args.quick},
         "cells": cells,
         "program_cache": cache,

@@ -6,15 +6,17 @@ Produces a self-contained translation unit with one caller-owned ABI:
   arrays; no mutable file-scope array exists, so one loaded image holds
   no model state;
 * ``void <name>_init(int64_t nb, void *const *bufs)`` and
-  ``void <name>_step(int64_t nb, void *const *bufs)``, the only external
-  symbols.  ``bufs`` holds one pointer per input, output, state and temp
-  buffer, in :func:`abi_buffers` order; each pointer addresses ``nb``
-  consecutive instances of ``max(size, 1)`` elements, and no two
-  pointers' arrays overlap.  Each entry loops over the instances and
-  calls a ``static`` per-instance function, ``<name>__init`` /
-  ``<name>__step``, whose ``restrict`` parameters are that instance's
-  base pointers, named after the buffers — so the program's statements
-  are emitted once, unchanged;
+  ``void <name>_step(int64_t nb, int64_t nsteps, void *const *bufs)``,
+  the only external symbols.  ``bufs`` holds one pointer per input,
+  output, state and temp buffer, in :func:`abi_buffers` order; each
+  pointer addresses ``nb`` consecutive instances of ``max(size, 1)``
+  elements, and no two pointers' arrays overlap.  Each entry loops over
+  the instances and calls a ``static`` per-instance function,
+  ``<name>__init`` / ``<name>__step``, whose ``restrict`` parameters are
+  that instance's base pointers, named after the buffers — so the
+  program's statements are emitted once, unchanged.  ``_step`` runs
+  ``nsteps`` steps of each instance, so a caller's whole run is one
+  call and the step loop runs in C;
 * ``_init`` is a full per-instance reset: state initializers are
   replayed element by element, uninitialized state and temp arrays are
   ``memset`` to all-bits-zero (bitwise identical to the VM's
@@ -26,8 +28,8 @@ Produces a self-contained translation unit with one caller-owned ABI:
   instead of through a parameter does not compile.
 
 Running one instance is ``nb = 1``; one compiled object serves any
-batch size.  The emitted source compiles with ``gcc -std=c11 -O3`` and is
-exercised end-to-end by :mod:`repro.native`.
+batch size and step count.  The emitted source compiles with
+``gcc -std=c11 -O3`` and is exercised end-to-end by :mod:`repro.native`.
 """
 
 from __future__ import annotations
@@ -217,7 +219,8 @@ def _emit_entry(program: Program, entry: str, prologue: list[str],
 
     The per-instance function takes every table buffer as a ``restrict``
     parameter — the table's arrays never overlap — so gcc optimizes the
-    body as it would over distinct static arrays.
+    body as it would over distinct static arrays.  The ``step`` entry
+    also takes ``nsteps`` and runs that many steps of each instance.
     """
     decls = abi_buffers(program)
     types = [("const " if d.kind == "input" else "") + c_type(d.dtype)
@@ -231,11 +234,19 @@ def _emit_entry(program: Program, entry: str, prologue: list[str],
         lines.extend(emit_stmt(stmt, 1))
     args = ", ".join(f"({t}*)bufs[{k}] + __b * {max(d.size, 1)}"
                      for k, (t, d) in enumerate(zip(types, decls)))
-    lines += ["}", "",
-              f"void {program.name}_{entry}(int64_t nb, void *const *bufs) {{",
-              "    for (int64_t __b = 0; __b < nb; __b++)",
-              f"        {instance}({args});",
-              "}", ""]
+    lines += ["}", ""]
+    if entry == "step":
+        lines += [f"void {program.name}_step(int64_t nb, int64_t nsteps, "
+                  "void *const *bufs) {",
+                  "    for (int64_t __b = 0; __b < nb; __b++)",
+                  "        for (int64_t __s = 0; __s < nsteps; __s++)",
+                  f"            {instance}({args});"]
+    else:
+        lines += [f"void {program.name}_{entry}(int64_t nb, "
+                  "void *const *bufs) {",
+                  "    for (int64_t __b = 0; __b < nb; __b++)",
+                  f"        {instance}({args});"]
+    lines += ["}", ""]
     return lines
 
 

@@ -10,13 +10,12 @@ Exposed on the CLI as ``frodo profile <model>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
+from dataclasses import dataclass
 
 from repro.codegen import make_generator
 from repro.eval.report import format_table
 from repro.ir.cost import Profile, get_profile
-from repro.ir.interp import ContextCounts, OpCounts, VirtualMachine
+from repro.ir.interp import ContextCounts, VirtualMachine
 from repro.ir.ops import Comment, Stmt
 from repro.model.graph import Model
 from repro.sim.simulator import random_inputs
@@ -35,20 +34,6 @@ class BlockProfile:
     @property
     def total_ops(self) -> int:
         return self.counts.total.total_element_ops
-
-
-def _snapshot(counts: ContextCounts) -> dict[str, dict[str, int]]:
-    return counts.as_dict()
-
-
-def _delta(after: dict, before: dict) -> ContextCounts:
-    result = ContextCounts()
-    for bucket_name in ("scalar", "vector", "forced"):
-        bucket = getattr(result, bucket_name)
-        for f in fields(OpCounts):
-            setattr(bucket, f.name,
-                    after[bucket_name][f.name] - before[bucket_name][f.name])
-    return result
 
 
 def _segments(stmts: list[Stmt]) -> list[tuple[str, list[Stmt]]]:
@@ -97,17 +82,11 @@ def profile_program(code, inputs, steps: int = 1,
     vm._init_fn(env)
     for _ in range(steps):
         for label, fn in compiled:
-            before = _snapshot(vm.counts)
+            before = vm.counts.copy()
             fn(env)
-            delta = _delta(_snapshot(vm.counts), before)
+            delta = ContextCounts().assign((1, vm.counts), (-1, before))
             if label in totals:
-                merged = totals[label]
-                for bucket_name in ("scalar", "vector", "forced"):
-                    bucket = getattr(merged, bucket_name)
-                    add = getattr(delta, bucket_name)
-                    for f in fields(OpCounts):
-                        setattr(bucket, f.name,
-                                getattr(bucket, f.name) + getattr(add, f.name))
+                totals[label].assign((1, totals[label]), (1, delta))
             else:
                 totals[label] = delta
     return sorted((BlockProfile(label, counts)

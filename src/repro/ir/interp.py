@@ -19,10 +19,13 @@ random-testing correctness comparison against the reference simulator.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
+import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping
+from itertools import repeat
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -173,6 +176,10 @@ class OpCounts:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+_OP_FIELDS = tuple(f.name for f in fields(OpCounts))
+_op_values = operator.attrgetter(*_OP_FIELDS)
+
+
 @dataclass
 class ContextCounts:
     """Counts split by loop context (scalar / vector / forced SIMD)."""
@@ -185,13 +192,37 @@ class ContextCounts:
     def total(self) -> OpCounts:
         return self.scalar + self.vector + self.forced
 
+    def assign(self, *terms: tuple[int, "ContextCounts"]) -> "ContextCounts":
+        """Set every field, in place, to the sum of ``factor × field``
+        over ``terms`` (``(factor, counts)`` pairs), and return ``self``.
+
+        The one implementation of count arithmetic: no terms zeroes, a
+        ``(1, c)`` term copies, ``(B, c)`` scales, and a native run of
+        ``n`` steps over ``nb`` instances is ``(nb, init), (nb * n, step)``.
+        The bucket objects keep their identity — compiled closures hold
+        them and increment their fields.
+        """
+        width = len(_OP_FIELDS)
+        values = None
+        for factor, counts in terms:
+            flat = (_op_values(counts.scalar) + _op_values(counts.vector)
+                    + _op_values(counts.forced))
+            if factor != 1:
+                flat = map(operator.mul, flat, repeat(factor))
+            values = flat if values is None \
+                else map(operator.add, values, flat)
+        values = [0] * (3 * width) if values is None else list(values)
+        # Re-initialise each bucket in place.  Never write through
+        # ``__dict__``: that turns the instance's inline attribute storage
+        # into a plain dict, and every later ``bucket.flops += 1`` of the
+        # compiled closures runs about 3x slower.
+        for k, bucket in enumerate((self.scalar, self.vector, self.forced)):
+            bucket.__init__(*values[k * width:(k + 1) * width])
+        return self
+
     def copy(self) -> "ContextCounts":
         """Independent snapshot (the VM mutates its live counts in place)."""
-        return ContextCounts(
-            scalar=OpCounts(**self.scalar.as_dict()),
-            vector=OpCounts(**self.vector.as_dict()),
-            forced=OpCounts(**self.forced.as_dict()),
-        )
+        return ContextCounts().assign((1, self))
 
     def bucket(self, name: str) -> OpCounts:
         return getattr(self, name)
@@ -247,31 +278,18 @@ def _wrap_ring_index(index: Callable[[dict], int],
     return ring_index
 
 
-def _accumulate_counts(target: ContextCounts, delta: ContextCounts) -> None:
-    """Field-by-field in-place accumulation across all buckets."""
-    for name in ("scalar", "vector", "forced"):
-        dst = target.bucket(name)
-        src = delta.bucket(name)
-        for f in fields(dst):
-            setattr(dst, f.name, getattr(dst, f.name) + getattr(src, f.name))
-
-
-def _scale_counts(counts: ContextCounts, factor: int) -> ContextCounts:
-    """A new ContextCounts with every field multiplied by ``factor``.
-
-    Used by the lifted batch path: one lifted pass performs exactly the
-    per-instance operation schedule once (each op over length-B rows), so
-    B instances' aggregate counts are the single-instance counts × B.
-    """
-    scaled = counts.copy()
-    for name in ("scalar", "vector", "forced"):
-        bucket = scaled.bucket(name)
-        for f in fields(bucket):
-            setattr(bucket, f.name, getattr(bucket, f.name) * factor)
-    return scaled
-
-
 BACKENDS = ("auto", "closure", "vector", "native")
+
+
+class _IOBuffer(NamedTuple):
+    """One input or output buffer in a VM's I/O plan."""
+
+    name: str
+    kind: str                      # "input" or "output"
+    dtype: np.dtype
+    size: int                      # logical elements (0 for empty shapes)
+    shape: tuple                   # the shape outputs are handed out in
+    init: Optional[np.ndarray]     # flat declared initial value, or None
 
 
 class VirtualMachine:
@@ -291,10 +309,13 @@ class VirtualMachine:
       ``<name>_step`` entries in-process over a pointer table into this
       VM's own buffers — state and temps included, so a native VM is as
       independent as a closure/vector one, even when many VMs share one
-      loaded image.  A run is ``nb = 1`` over ``_buffers``; a batch is
-      ``nb = B`` over arrays of B instances, through the same entries.
-      ``<name>_init`` performs a full reset, so :meth:`run`'s reset
-      semantics are preserved.  Requires a C toolchain — a missing
+      loaded image.  A run of ``n`` steps is one ``<name>_init`` call and
+      one ``<name>_step`` call of ``n`` steps with ``nb = 1`` over
+      ``_buffers``; a batch is the same two calls with ``nb = B`` over
+      arrays of B instances.  ``<name>_init`` performs a full reset of
+      state and temps, so :meth:`reset` refills only inputs and outputs
+      and :meth:`run`'s reset semantics are preserved.  Counts are set
+      once per call, not per step.  Requires a C toolchain — a missing
       compiler or failed build raises
       :class:`~repro.errors.NativeToolchainError`, never a silent
       fallback.  ``so_cache_dir`` is a directory path or a blob store
@@ -343,6 +364,12 @@ class VirtualMachine:
         # exclusively — run()/outputs() assume 1-D buffers.
         self._batch_lanes = int(_batch_lanes)
         self._buffers: dict[str, np.ndarray] = {}
+        # One I/O plan per VM: each input and output with its size, shape
+        # and flat initial value, derived once for reset, set_inputs,
+        # outputs and the batch paths.
+        self._io: list[_IOBuffer] = []
+        # (kind, buffer, declared initial value or None) for every buffer.
+        fills: list[tuple[str, np.ndarray, Optional[np.ndarray]]] = []
         for decl in program.buffers.values():
             # Windowed temps (sliding-window contraction) allocate their
             # physical ring, not the logical span; the closure compiler
@@ -351,8 +378,33 @@ class VirtualMachine:
             shape: tuple = (max(decl.storage_size, 1),)
             if self._batch_lanes:
                 shape += (self._batch_lanes,)
-            self._buffers[decl.name] = np.empty(shape, dtype=decl.dtype)
-        self._fill_initial()
+            buf = self._buffers[decl.name] = np.empty(shape, dtype=decl.dtype)
+            # A flat view of the declared value, not a copy: every VM of a
+            # program reads the one array (large const tables included).
+            flat = None if decl.init is None \
+                else np.asarray(decl.init, dtype=decl.dtype).ravel()
+            if decl.kind in ("input", "output"):
+                self._io.append(_IOBuffer(decl.name, decl.kind, buf.dtype,
+                                          decl.size, decl.shape, flat))
+            if flat is not None and self._batch_lanes:
+                # Lifted buffers are (size, B): replicate the initial
+                # value across the batch axis explicitly — a bare
+                # `buf[:] = flat` would mis-broadcast when size == B.
+                flat = flat[:, None]
+            fills.append((decl.kind, buf, flat))
+        self._inputs = {io.name: io for io in self._io if io.kind == "input"}
+        self._outputs = [io for io in self._io if io.kind == "output"]
+        # Each output buffer viewed in its output shape (a lifted VM's
+        # 2-D buffers are read through _run_batch_lifted instead).
+        self._output_views = [] if self._batch_lanes else [
+            (io.name, self._buffers[io.name].reshape(io.shape))
+            for io in self._outputs]
+        self._peak_bytes = sum(arr.nbytes for arr in self._buffers.values())
+        self._fill([(buf, init) for _, buf, init in fills])
+        # <name>_init resets a native VM's state and temps, so its reset()
+        # refills only what _init does not touch: the inputs and outputs.
+        self._fills = [(buf, init) for kind, buf, init in fills
+                       if backend != "native" or kind in ("input", "output")]
         self._specialized: dict[tuple, Callable[[dict], None]] = {}
         # run()/run_batch() reentrancy guard (an RLock so run_batch's
         # sequential fallback may call run() on the same thread).
@@ -370,6 +422,7 @@ class VirtualMachine:
         self._batch_lifted: dict[int, "VirtualMachine"] = {}
         self._lift_verified: set[int] = set()
         self._lift_rejected = False
+        self._shared = None
         if backend == "native":
             from repro.ir.fuse import lower_windows
             from repro.ir.staticcount import analyze_counts
@@ -385,7 +438,6 @@ class VirtualMachine:
             self.counts_exact = self._static.exact
             self._native_table = self._shared.bind(self._buffers)
             self._init_fn = self._native_init
-            self._step_fn = self._native_step
         else:
             self._init_fn = self._compile_body(program.init,
                                                self.counts.scalar)
@@ -398,8 +450,8 @@ class VirtualMachine:
                 # A windowed ring must start every step holding the zeros
                 # its never-written logical cells stand for (the native
                 # backend emits the same zeroing inside the lowered step).
-                # Wrapping _step_fn — not step() — keeps _run_profiled,
-                # which calls _step_fn directly, on the same semantics.
+                # Wrapping _step_fn — not step() — keeps every stepping
+                # path on the same semantics.
                 inner_step = self._step_fn
 
                 def step_with_ring_reset(env: dict) -> None:
@@ -408,66 +460,83 @@ class VirtualMachine:
                     inner_step(env)
                 self._step_fn = step_with_ring_reset
         self._initialized = False
+        # Steps since the last reset: a native VM's counts are
+        # init + this × step.
+        self._steps_done = 0
 
     def _native_init(self, env: dict) -> None:
         self._shared.init(1, self._native_table)
-        self._static.apply(self.counts, self._static.init)
-
-    def _native_step(self, env: dict) -> None:
-        self._shared.step(1, self._native_table)
-        self._static.apply(self.counts, self._static.step)
 
     # -- public API --------------------------------------------------------
 
-    def _fill_initial(self) -> None:
-        """Set every buffer to its declared initial value (shared by
-        construction and :meth:`reset` so the two cannot drift)."""
-        for decl in self.program.buffers.values():
-            buf = self._buffers[decl.name]
-            if decl.init is not None:
-                flat = np.array(decl.init, dtype=decl.dtype).ravel()
-                # Lifted buffers are (size, B): replicate the initial
-                # value across the batch axis explicitly — a bare
-                # `buf[:] = flat` would mis-broadcast when size == B.
-                buf[:] = flat[:, None] if buf.ndim == 2 else flat
+    @staticmethod
+    def _fill(fills) -> None:
+        """Set each ``(buffer, flat initial or None)`` pair's buffer to its
+        declared initial value (zero when None)."""
+        for buf, init in fills:
+            if init is None:
+                buf.fill(0)
             else:
-                buf[:] = 0
+                buf[:] = init
 
     def reset(self) -> None:
-        """Restore every buffer to its declared initial value, zero counts."""
-        self._fill_initial()
+        """Restore every buffer to its declared initial value, zero counts.
+
+        A native VM refills only its inputs and outputs here: its state
+        and temps are reset by ``<name>_init`` on the next step.
+        """
+        self._fill(self._fills)
         self._initialized = False
-        for bucket in (self.counts.scalar, self.counts.vector, self.counts.forced):
-            for f in fields(bucket):
-                setattr(bucket, f.name, 0)
+        self._steps_done = 0
+        self.counts.assign()
 
     def set_inputs(self, inputs: Mapping[str, np.ndarray]) -> None:
         for name, value in inputs.items():
-            decl = self.program.buffers.get(name)
-            if decl is None or decl.kind != "input":
+            io = self._inputs.get(name)
+            if io is None:
                 raise SimulationError(f"{name!r} is not an input buffer")
-            flat = np.asarray(value, dtype=decl.dtype).ravel()
-            if flat.size != decl.size:
-                raise SimulationError(
-                    f"input {name!r} expects {decl.size} elements, got {flat.size}"
-                )
+            flat = np.asarray(value, dtype=io.dtype).ravel()
+            if flat.size != io.size:
+                raise SimulationError(f"input {name!r} expects {io.size} "
+                                      f"elements, got {flat.size}")
             self._buffers[name][:] = flat
 
     def step(self) -> None:
         """Run init (once per reset) and one step of the program."""
+        self._run_steps(1)
+
+    def _run_steps(self, steps: int, prof=None) -> None:
+        """Run init (once per reset), then ``steps`` steps.
+
+        A native VM makes at most one ``<name>_init`` call and one
+        ``<name>_step`` call of ``steps`` steps, then sets its counts once
+        to ``init + k × step`` for the ``k`` steps since the last reset.
+        ``prof``, an active :class:`~repro.obs.vmprofile.VMStageProfile`,
+        records the init/step split.
+        """
+        if steps < 1:
+            return
+        t0 = time.perf_counter() if prof is not None else 0.0
         env: dict[str, int] = {}
         if not self._initialized:
             self._init_fn(env)
             self._initialized = True
-        self._step_fn(env)
+        t1 = time.perf_counter() if prof is not None else 0.0
+        if self._shared is None:
+            step_fn = self._step_fn
+            for _ in range(steps):
+                step_fn(env)
+        else:
+            self._shared.step(1, steps, self._native_table)
+            self._steps_done += steps
+            self.counts.assign((1, self._static.init),
+                               (self._steps_done, self._static.step))
+        if prof is not None:
+            prof.record(self.backend, init_seconds=t1 - t0,
+                        step_seconds=time.perf_counter() - t1, steps=steps)
 
     def outputs(self) -> dict[str, np.ndarray]:
-        result: dict[str, np.ndarray] = {}
-        for decl in self.program.buffers_of_kind("output"):
-            result[decl.name] = self._buffers[decl.name].reshape(
-                decl.shape if decl.shape else ()
-            ).copy()
-        return result
+        return {name: view.copy() for name, view in self._output_views}
 
     def run(self, inputs: Mapping[str, np.ndarray], steps: int = 1) -> ExecResult:
         """Reset, apply inputs, execute ``steps`` steps, collect outputs.
@@ -500,31 +569,11 @@ class VirtualMachine:
                                    fused.buffers_contracted if fused else 0)):
                 self.reset()
                 self.set_inputs(inputs)
-                prof = _vmprofile.active()
-                if prof is None:
-                    for _ in range(steps):
-                        self.step()
-                else:
-                    self._run_profiled(prof, steps)
-                peak = sum(arr.nbytes for arr in self._buffers.values())
-                return ExecResult(self.outputs(), self.counts.copy(), peak)
+                self._run_steps(steps, _vmprofile.active())
+                return ExecResult(self.outputs(), self.counts.copy(),
+                                  self._peak_bytes)
         finally:
             self._run_lock.release()
-
-    def _run_profiled(self, prof, steps: int) -> None:
-        """:meth:`run`'s stepping loop with the init/step split timed
-        into the active :class:`~repro.obs.vmprofile.VMStageProfile`."""
-        import time as _time
-        env: dict[str, int] = {}
-        t0 = _time.perf_counter()
-        if not self._initialized:
-            self._init_fn(env)
-            self._initialized = True
-        t1 = _time.perf_counter()
-        for _ in range(steps):
-            self._step_fn(env)
-        prof.record(self.backend, init_seconds=t1 - t0,
-                    step_seconds=_time.perf_counter() - t1, steps=steps)
 
     def _acquire_run_lock(self) -> None:
         if not self._run_lock.acquire(blocking=False):
@@ -544,11 +593,11 @@ class VirtualMachine:
         semantically identical to B separate :meth:`run` calls, but
         amortized: the vector/auto backends execute a batch-expanded
         program whose kernels span instances
-        (:mod:`repro.ir.batch`), and the native backend calls the
-        ``<name>_step`` entry point once per step for the whole batch
-        (``nb = B``).  Outputs are bit-for-bit equal to the sequential
-        runs on every backend; aggregate counts equal their sum whenever
-        ``counts_exact`` is True.
+        (:mod:`repro.ir.batch`), and the native backend makes one
+        ``<name>_init`` and one ``<name>_step`` call for the whole batch
+        (``nb = B``, ``steps`` steps each).  Outputs are bit-for-bit equal
+        to the sequential runs on every backend; aggregate counts equal
+        their sum whenever ``counts_exact`` is True.
 
         An empty batch raises :class:`~repro.errors.SimulationError`
         (there is no meaningful zero-instance result); a batch of one
@@ -580,8 +629,7 @@ class VirtualMachine:
 
     def _run_batch_locked(self, instances: list, steps: int) -> BatchResult:
         validated = self._validate_batch_inputs(instances)
-        peak = len(validated) * sum(arr.nbytes
-                                    for arr in self._buffers.values())
+        peak = len(validated) * self._peak_bytes
         if len(validated) == 1:
             res = self.run(validated[0], steps=steps)
             return BatchResult([res.outputs], res.counts,
@@ -606,35 +654,33 @@ class VirtualMachine:
                                                 steps, peak)
         # Reference semantics: B sequential runs (closure backend, or
         # programs the exact batch transform refuses, e.g. CallStmt).
-        outputs = []
-        total = ContextCounts()
-        for inst in validated:
-            res = self.run(inst, steps=steps)
-            outputs.append(res.outputs)
-            _accumulate_counts(total, res.counts)
-        return BatchResult(outputs, total, self.counts_exact, peak)
+        results = [self.run(inst, steps=steps) for inst in validated]
+        total = ContextCounts().assign(*((1, r.counts) for r in results))
+        return BatchResult([r.outputs for r in results], total,
+                           self.counts_exact, peak)
 
     def _validate_batch_inputs(self, instances) -> list[dict]:
         """Per-instance :meth:`set_inputs`-grade validation, with errors
         that name the offending instance (ragged batches fail typed)."""
         validated: list[dict] = []
         for b, inst in enumerate(instances):
-            if not isinstance(inst, Mapping):
+            # dict first: the Mapping ABC check alone is slow per instance
+            if not isinstance(inst, (dict, Mapping)):
                 raise SimulationError(
                     f"batch instance {b}: expected a mapping of inputs, "
                     f"got {type(inst).__name__}")
             flat: dict = {}
             for name, value in inst.items():
-                decl = self.program.buffers.get(name)
-                if decl is None or decl.kind != "input":
+                io = self._inputs.get(name)
+                if io is None:
                     raise SimulationError(
                         f"batch instance {b}: {name!r} is not an input "
                         "buffer")
-                arr = np.asarray(value, dtype=decl.dtype).ravel()
-                if arr.size != decl.size:
+                arr = np.asarray(value, dtype=io.dtype).ravel()
+                if arr.size != io.size:
                     raise SimulationError(
                         f"batch instance {b}: input {name!r} expects "
-                        f"{decl.size} elements, got {arr.size}")
+                        f"{io.size} elements, got {arr.size}")
                 flat[name] = arr
             validated.append(flat)
         return validated
@@ -684,22 +730,16 @@ class VirtualMachine:
         batch = len(validated)
         try:
             vm.reset()
-            for decl in self.program.buffers_of_kind("input"):
-                buf = vm._buffers[decl.name]
+            for io in self._inputs.values():
+                buf = vm._buffers[io.name]
                 for b, inst in enumerate(validated):
-                    if decl.name in inst:
-                        buf[:, b] = inst[decl.name]
-            for _ in range(steps):
-                vm.step()
-            outputs = []
-            for b in range(batch):
-                inst_out = {}
-                for decl in self.program.buffers_of_kind("output"):
-                    col = vm._buffers[decl.name][:, b]
-                    inst_out[decl.name] = np.array(col.reshape(
-                        decl.shape if decl.shape else ()))
-                outputs.append(inst_out)
-            counts = _scale_counts(vm.counts, batch)
+                    if io.name in inst:
+                        buf[:, b] = inst[io.name]
+            vm._run_steps(steps)
+            outputs = self._instance_outputs(
+                {io.name: vm._buffers[io.name][:io.size].T.copy()
+                 for io in self._outputs}, batch)
+            counts = ContextCounts().assign((batch, vm.counts))
         except Exception:
             # Loud lifting failure (scalar coercion of a row, shape
             # mismatch, ...): never silently wrong, just unsupported.
@@ -708,12 +748,9 @@ class VirtualMachine:
             return None
         if batch in self._lift_verified:
             return BatchResult(outputs, counts, self.counts_exact, peak)
-        ref_outputs = []
-        ref_counts = ContextCounts()
-        for inst in validated:
-            res = self.run(inst, steps=steps)
-            ref_outputs.append(res.outputs)
-            _accumulate_counts(ref_counts, res.counts)
+        refs = [self.run(inst, steps=steps) for inst in validated]
+        ref_outputs = [r.outputs for r in refs]
+        ref_counts = ContextCounts().assign(*((1, r.counts) for r in refs))
         agrees = counts == ref_counts
         for got, expected in zip(outputs, ref_outputs):
             if not agrees:
@@ -764,16 +801,15 @@ class VirtualMachine:
         plan, companion = entry
         batch = plan.batch
         batch_inputs = {}
-        for decl in self.program.buffers_of_kind("input"):
-            if decl.init is not None:
-                mat = np.tile(np.asarray(decl.init, dtype=decl.dtype).ravel(),
-                              (batch, 1))
+        for io in self._inputs.values():
+            if io.init is not None:
+                mat = np.tile(io.init, (batch, 1))
             else:
-                mat = np.zeros((batch, decl.size), dtype=decl.dtype)
+                mat = np.zeros((batch, io.size), dtype=io.dtype)
             for b, inst in enumerate(validated):
-                if decl.name in inst:
-                    mat[b] = inst[decl.name]
-            batch_inputs[decl.name] = mat
+                if io.name in inst:
+                    mat[b] = inst[io.name]
+            batch_inputs[io.name] = mat
         res = companion.run(batch_inputs, steps=steps)
         counts = res.counts  # already a snapshot; safe to adjust in place
         for bucket in (counts.scalar, counts.vector, counts.forced):
@@ -790,8 +826,8 @@ class VirtualMachine:
         return BatchResult(outputs, counts, self.counts_exact, peak)
 
     def _run_batch_native(self, validated, steps, peak):
-        """Native path: one ``<name>_init`` + ``steps`` calls of
-        ``<name>_step`` with ``nb = B`` over arrays-of-instances; counts
+        """Native path: one ``<name>_init`` and one ``<name>_step`` call of
+        ``steps`` steps, with ``nb = B`` over arrays-of-instances; counts
         are the static per-instance analysis scaled ×B."""
         from repro.codegen.ctext import abi_buffers
         batch = len(validated)
@@ -807,34 +843,42 @@ class VirtualMachine:
         arrays, table = entry
         # _init resets every instance's state/temp; inputs and outputs are
         # reset here, matching run()'s reset-to-declared-initial semantics.
-        for kind in ("input", "output"):
-            for decl in self.program.buffers_of_kind(kind):
-                view = arrays[decl.name].reshape(batch, max(decl.size, 1))
-                if decl.init is not None:
-                    view[:, :decl.size] = np.asarray(
-                        decl.init, dtype=decl.dtype).ravel()
-                else:
-                    view[:] = 0
-                if kind == "input":
-                    for b, inst in enumerate(validated):
-                        if decl.name in inst:
-                            view[b, :decl.size] = inst[decl.name]
+        rows = {io.name: arrays[io.name].reshape(batch, -1) for io in self._io}
+        for io in self._io:
+            view = rows[io.name]
+            if io.init is None:
+                view.fill(0)
+            else:
+                view[:, :io.size] = io.init
+            if io.kind == "input":
+                for b, inst in enumerate(validated):
+                    if io.name in inst:
+                        view[b, :io.size] = inst[io.name]
         self._shared.init(batch, table)
-        for _ in range(steps):
-            self._shared.step(batch, table)
-        counts = ContextCounts()
-        self._static.apply(counts, self._static.init, factor=batch)
-        self._static.apply(counts, self._static.step, factor=batch * steps)
-        outputs = []
-        for b in range(batch):
-            inst_out = {}
-            for decl in self.program.buffers_of_kind("output"):
-                row = arrays[decl.name].reshape(
-                    batch, max(decl.size, 1))[b, :decl.size]
-                inst_out[decl.name] = np.array(
-                    row.reshape(decl.shape if decl.shape else ()))
-            outputs.append(inst_out)
+        self._shared.step(batch, steps, table)
+        counts = ContextCounts().assign((batch, self._static.init),
+                                        (batch * steps, self._static.step))
+        outputs = self._instance_outputs(
+            {io.name: rows[io.name][:, :io.size].copy()
+             for io in self._outputs}, batch)
         return BatchResult(outputs, counts, self.counts_exact, peak)
+
+    def _instance_outputs(self, blocks: dict[str, np.ndarray],
+                          batch: int) -> list[dict[str, np.ndarray]]:
+        """Per-instance output dicts from one ``(B, size)`` block per
+        output, copied once: instance ``b`` gets row ``b`` of each block,
+        a view in its output shape."""
+        names = [io.name for io in self._outputs]
+        columns = []
+        for io in self._outputs:
+            block = blocks[io.name].reshape((batch,) + io.shape)
+            # Iterating yields row views; 0-d rows need ``[b, ...]`` to
+            # stay arrays rather than numpy scalars.
+            columns.append(list(block) if io.shape
+                           else [block[b, ...] for b in range(batch)])
+        if not columns:
+            return [{} for _ in range(batch)]
+        return [dict(zip(names, row)) for row in zip(*columns)]
 
     # -- compilation --------------------------------------------------------
 
@@ -1191,6 +1235,26 @@ def _store_token(so_cache_dir):
 # remembers which ``.so`` store the promotion was built against.
 _PROMOTIONS: dict[tuple[str, bool], dict] = {}
 _DEMOTIONS: set[tuple[str, bool]] = set()
+
+
+def _forget_after_fork() -> None:
+    """Start a forked child (a serve pool worker) with a fresh lock, an
+    empty VM cache and no promotion state, as a spawned one would.
+
+    A child inherits the parent's cache and counters, so its first run
+    would report a VM-cache hit it never earned, and it inherits
+    ``_VM_CACHE_LOCK`` in whatever state the parent held it: a lock held
+    by another parent thread at fork time stays held in the child.
+    """
+    global _VM_CACHE_LOCK
+    _VM_CACHE_LOCK = threading.Lock()
+    _VM_CACHE.clear()
+    _VM_CACHE_STATS.update(hits=0, misses=0, evictions=0)
+    _PROMOTIONS.clear()
+    _DEMOTIONS.clear()
+
+
+os.register_at_fork(after_in_child=_forget_after_fork)
 
 
 def set_vm_cache_limit(limit: int) -> int:

@@ -60,24 +60,17 @@ class _Unknown(Exception):
 
 @dataclass(frozen=True)
 class StaticCounts:
-    """Analytic per-invocation counts for a program's entry points."""
+    """Analytic per-invocation counts for a program's entry points.
+
+    Counts are a pure function of the program, the step count and the
+    batch size: ``n`` steps of ``nb`` instances perform
+    ``nb × (init + n × step)``, which the native VM computes once per
+    call with :meth:`~repro.ir.interp.ContextCounts.assign`.
+    """
 
     init: ContextCounts
     step: ContextCounts
     exact: bool
-
-    @staticmethod
-    def apply(target: ContextCounts, delta: ContextCounts,
-              factor: int = 1) -> None:
-        """Accumulate ``factor × delta`` into a VM's live ``counts`` in
-        place (``factor`` > 1 is the batched native path: B independent
-        instances perform exactly B times the per-instance work)."""
-        for bucket in ("scalar", "vector", "forced"):
-            dst = getattr(target, bucket)
-            src = getattr(delta, bucket)
-            for name, value in src.as_dict().items():
-                if value:
-                    setattr(dst, name, getattr(dst, name) + value * factor)
 
 
 def _madd(*dicts: dict) -> dict:

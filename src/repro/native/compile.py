@@ -9,9 +9,11 @@ The harness synthesizes a ``main.c`` next to the emitted model source:
 inputs are embedded as static initializers, every input, output, state
 and temp buffer gets one instance of static storage behind the ``bufs``
 pointer table of the model's ABI (:mod:`repro.codegen.ctext`), the step
-function runs ``steps`` times with ``nb = 1`` (exercising stateful
-blocks), outputs are printed in full precision, and an optional timing
-loop reports seconds for ``repetitions`` further step calls.
+function is called ``steps`` times with ``nb = 1`` and ``nsteps = 1``
+(exercising stateful blocks), outputs are printed in full precision, and
+an optional timing loop reports seconds for ``repetitions`` further
+one-step calls — one call per repetition, so recorded timings include
+the call itself.
 """
 
 from __future__ import annotations
@@ -187,7 +189,8 @@ def generate_main(code: GeneratedCode, inputs: Mapping[str, np.ndarray],
         "#include <complex.h>",
         "",
         f"void {program.name}_init(int64_t nb, void *const *bufs);",
-        f"void {program.name}_step(int64_t nb, void *const *bufs);",
+        f"void {program.name}_step(int64_t nb, int64_t nsteps, "
+        "void *const *bufs);",
         "",
     ]
     table: list[str] = []
@@ -209,14 +212,14 @@ def generate_main(code: GeneratedCode, inputs: Mapping[str, np.ndarray],
         "int main(void) {",
         f"    {program.name}_init(1, bufs);",
         f"    for (int s = 0; s < {steps}; s++) "
-        f"{program.name}_step(1, bufs);",
+        f"{program.name}_step(1, 1, bufs);",
     ]
     if repetitions > 0:
         lines += [
             "    struct timespec t0, t1;",
             "    clock_gettime(CLOCK_MONOTONIC, &t0);",
             f"    for (int r = 0; r < {repetitions}; r++) "
-            f"{program.name}_step(1, bufs);",
+            f"{program.name}_step(1, 1, bufs);",
             "    clock_gettime(CLOCK_MONOTONIC, &t1);",
             '    printf("TIME %.9f\\n", (t1.tv_sec - t0.tv_sec)'
             " + (t1.tv_nsec - t0.tv_nsec) * 1e-9);",

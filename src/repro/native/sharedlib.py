@@ -8,9 +8,11 @@ paper's own artifact (compiled C at ``-O3``) the serving fast path:
 * the emitted translation unit is built **once** per (program content,
   compiler identity, flags) into a shared object (``-fPIC -shared``);
 * the library is loaded in-process with :mod:`ctypes` and its two entry
-  points, ``<name>_init`` and ``<name>_step``, are bound as
-  ``(int64_t nb, void *const *bufs)`` — the one caller-owned ABI of
-  :func:`repro.codegen.ctext.emit_c`;
+  points are bound as ``<name>_init(int64_t nb, void *const *bufs)`` and
+  ``<name>_step(int64_t nb, int64_t nsteps, void *const *bufs)`` — the
+  one caller-owned ABI of :func:`repro.codegen.ctext.emit_c`.  A run of
+  any length is one ``_init`` call and one ``_step`` call: the step loop
+  runs in C;
 * :meth:`SharedProgram.bind` builds the ``bufs`` pointer table **once**
   per array set: one pointer per input/output/state/temp buffer, in
   :func:`~repro.codegen.ctext.abi_buffers` order, each addressing ``nb``
@@ -78,7 +80,9 @@ SHARED_FLAGS: tuple[str, ...] = ("-fPIC", "-shared")
 #: input/output/state/temp arrays) beside the static-state ones.
 #: v3: one caller-owned ABI, ``<name>_init`` / ``<name>_step`` taking
 #: ``(int64_t nb, void *const *bufs)``; no mutable static state.
-SHARED_ABI_VERSION = 3
+#: v4: ``<name>_step`` takes ``(int64_t nb, int64_t nsteps, void *const
+#: *bufs)`` and runs ``nsteps`` steps of each instance.
+SHARED_ABI_VERSION = 4
 
 #: Bump when the stored ``native`` bundle layout changes.
 NATIVE_BUNDLE_VERSION = 1
@@ -119,8 +123,9 @@ class SharedProgram:
 
     :meth:`bind` turns the caller's buffer mapping (name -> flat numpy
     array of ``nb`` instances) into the ``bufs`` pointer table once;
-    :meth:`init` and :meth:`step` then pass that table and ``nb`` —
-    two ctypes arguments per call, zero copies in either direction.
+    :meth:`init` and :meth:`step` then pass that table, ``nb`` and (for
+    ``step``) the step count — one ctypes call per run phase, zero
+    copies in either direction.
     """
 
     def __init__(self, program: Program, path: Path, *,
@@ -138,9 +143,10 @@ class SharedProgram:
         except (OSError, AttributeError) as exc:
             raise NativeToolchainError(
                 f"cannot load shared object {self.path}: {exc}") from exc
-        for fn in (self._init, self._step):
-            fn.restype = None
-            fn.argtypes = (ctypes.c_int64, ctypes.c_void_p)
+        self._init.restype = self._step.restype = None
+        self._init.argtypes = (ctypes.c_int64, ctypes.c_void_p)
+        self._step.argtypes = (ctypes.c_int64, ctypes.c_int64,
+                               ctypes.c_void_p)
 
     def bind(self, buffers: Mapping[str, np.ndarray], nb: int = 1):
         """The ``bufs`` pointer table over fixed arrays.
@@ -175,9 +181,10 @@ class SharedProgram:
         """Full per-instance reset of ``nb`` instances (see :meth:`bind`)."""
         self._init(nb, table)
 
-    def step(self, nb: int, table) -> None:
-        """One step of each of ``nb`` instances (see :meth:`bind`)."""
-        self._step(nb, table)
+    def step(self, nb: int, nsteps: int, table) -> None:
+        """``nsteps`` steps of each of ``nb`` instances, in one call (see
+        :meth:`bind`)."""
+        self._step(nb, nsteps, table)
 
 
 def _build_so(program: Program, source: str, compiler: str,

@@ -18,8 +18,7 @@ import pytest
 
 from repro.codegen import FrodoGenerator, make_generator
 from repro.errors import SimulationError
-from repro.ir.interp import (ContextCounts, VirtualMachine,
-                             _accumulate_counts, execute)
+from repro.ir.interp import ContextCounts, VirtualMachine, execute
 from repro.model.builder import ModelBuilder
 from repro.native import find_compiler
 from repro.sim.simulator import random_inputs
@@ -31,6 +30,15 @@ ZOO = [e.name for e in TABLE1] + [e.name for e in EXTENDED] + ["Motivating"]
 PURE_PYTHON_BACKENDS = ("closure", "vector", "auto")
 
 HAVE_CC = find_compiler() is not None
+
+
+def _add_counts(total: ContextCounts, counts: ContextCounts) -> None:
+    """Field-by-field sum, kept independent of the VM's own count
+    arithmetic (``ContextCounts.assign``)."""
+    for bucket in ("scalar", "vector", "forced"):
+        dst, src = getattr(total, bucket), getattr(counts, bucket)
+        for name, value in src.as_dict().items():
+            setattr(dst, name, getattr(dst, name) + value)
 
 
 def batch_inputs(code, model, batch, base_seed=0):
@@ -47,7 +55,7 @@ def assert_batch_agrees(program, inputs_list, backend, steps=2,
     for inputs in inputs_list:
         res = VirtualMachine(program, backend="closure").run(inputs,
                                                              steps=steps)
-        _accumulate_counts(solo_counts, res.counts)
+        _add_counts(solo_counts, res.counts)
         solo_outputs.append(res.outputs)
 
     vm = VirtualMachine(program, backend=backend, so_cache_dir=so_cache_dir)

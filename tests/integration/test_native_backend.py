@@ -18,7 +18,8 @@ import pytest
 
 from repro.codegen import FrodoGenerator, make_generator
 from repro.errors import NativeToolchainError
-from repro.ir.interp import VirtualMachine, cached_vm, clear_vm_cache
+from repro.ir.interp import (ContextCounts, VirtualMachine, cached_vm,
+                             clear_vm_cache)
 from repro.model.builder import ModelBuilder
 from repro.native import (clear_shared_program_cache, find_compiler,
                           load_shared_program, shared_program_stats)
@@ -141,6 +142,112 @@ class TestStatefulReuse:
                 sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not mismatches
+
+
+def _field_sum(*terms):
+    """``sum(factor × counts)`` as a plain nested dict, field by field —
+    independent of the VM's own count arithmetic."""
+    total: dict = {}
+    for factor, counts in terms:
+        for bucket, fields in counts.as_dict().items():
+            row = total.setdefault(bucket, {})
+            for name, value in fields.items():
+                row[name] = row.get(name, 0) + factor * value
+    return total
+
+
+class TestCountContract:
+    """Native counts are computed once per call from the static
+    analysis: ``init + n × step`` per instance, never accumulated per
+    step, never leaking between calls, never mutating a returned
+    result."""
+
+    @pytest.fixture(scope="class")
+    def kalman(self):
+        model = build_model("Kalman")
+        code = make_generator("frodo").generate(model)
+        inputs = [code.map_inputs(random_inputs(model, seed=s))
+                  for s in range(5)]
+        return code, inputs
+
+    @pytest.fixture()
+    def native(self, kalman, tmp_path):
+        vm = VirtualMachine(kalman[0].program, backend="native",
+                            so_cache_dir=tmp_path)
+        assert vm.counts_exact
+        return vm
+
+    @staticmethod
+    def closure_run(code, inputs, steps):
+        return VirtualMachine(code.program, backend="closure").run(
+            inputs, steps=steps)
+
+    @pytest.mark.parametrize("steps", [1, 3, 64])
+    def test_run_counts_equal_closure(self, kalman, native, steps):
+        code, inputs = kalman
+        ref = self.closure_run(code, inputs[0], steps)
+        res = native.run(inputs[0], steps=steps)
+        assert res.counts == ref.counts
+        assert native.counts == ref.counts
+        for name, arr in ref.outputs.items():
+            assert res.outputs[name].tobytes() == arr.tobytes()
+
+    def test_repeated_runs_leak_nothing(self, kalman, native):
+        code, inputs = kalman
+        for steps, x in zip((3, 5, 3), inputs):
+            ref = self.closure_run(code, x, steps)
+            res = native.run(x, steps=steps)
+            assert res.counts == ref.counts, f"run of {steps} steps"
+            for name, arr in ref.outputs.items():
+                assert res.outputs[name].tobytes() == arr.tobytes()
+
+    def test_reset_then_steps_counts_init_plus_k_steps(self, kalman,
+                                                       native):
+        from repro.ir.staticcount import analyze_counts
+        code, inputs = kalman
+        static = analyze_counts(native.program)
+        native.run(inputs[1], steps=7)  # stale counts and state
+        native.reset()
+        assert native.counts == ContextCounts()
+        native.set_inputs(inputs[0])
+        closure = VirtualMachine(code.program, backend="closure")
+        closure.reset()
+        closure.set_inputs(inputs[0])
+        for k in range(1, 5):
+            native.step()
+            closure.step()
+            assert native.counts.as_dict() == \
+                _field_sum((1, static.init), (k, static.step))
+            assert native.counts == closure.counts
+            for name, arr in closure.outputs().items():
+                assert native.outputs()[name].tobytes() == arr.tobytes()
+
+    def test_returned_counts_are_never_mutated(self, kalman, native):
+        code, inputs = kalman
+        first = native.run(inputs[0], steps=2)
+        frozen = first.counts.as_dict()
+        assert first.counts is not native.counts
+        batch = native.run_batch(inputs[:3], steps=2)
+        frozen_batch = batch.counts.as_dict()
+        native.run(inputs[1], steps=9)
+        native.step()
+        native.run_batch(inputs[:4], steps=5)
+        native.reset()
+        assert first.counts.as_dict() == frozen
+        assert batch.counts.as_dict() == frozen_batch
+
+    def test_run_batch_counts_scale_with_batch(self, kalman, native):
+        code, inputs = kalman
+        for batch, steps in ((3, 2), (5, 4)):
+            solo = self.closure_run(code, inputs[0], steps)
+            res = native.run_batch(inputs[:batch], steps=steps)
+            assert res.counts.as_dict() == _field_sum((batch, solo.counts))
+            for b in range(batch):
+                ref = self.closure_run(code, inputs[b], steps)
+                for name, arr in ref.outputs.items():
+                    got = res.outputs[b][name]
+                    assert got.shape == arr.shape
+                    assert got.tobytes() == arr.tobytes()
 
 
 class TestWarmCache:

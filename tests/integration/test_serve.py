@@ -117,6 +117,26 @@ class TestServeIntegration:
                 # Served without re-running codegen: pure artifact hit.
                 assert snapshot["artifact_cache_hit_rate"] == 1.0
 
+    def test_forked_worker_starts_with_empty_vm_cache(self, tmp_path):
+        """Pool workers are forked from this process; a VM it cached must
+        not be inherited, so the worker's first run is a VM-cache miss."""
+        from repro.codegen import FrodoGenerator
+        from repro.ir.interp import cached_vm, clear_vm_cache
+        from repro.zoo import build_model
+        program = FrodoGenerator().generate(build_model("Motivating")).program
+        cached_vm(program)
+        try:
+            config = ServeConfig(workers=1, cache_dir=str(tmp_path / "c"))
+            with ServerThread(config) as thread:
+                with ServeClient(port=thread.server.port) as client:
+                    resp = client.request_raw(
+                        "run", model="Motivating", generator="frodo",
+                        steps=2, include_outputs=False)
+            assert resp["ok"], resp
+            assert resp["meta"]["vm_cache"] == "miss"
+        finally:
+            clear_vm_cache()
+
     def test_run_after_restart_executes_cached_program(self, tmp_path):
         cache_dir = str(tmp_path / "persistent")
         with ServerThread(ServeConfig(workers=1,

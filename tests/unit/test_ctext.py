@@ -119,15 +119,17 @@ class TestProgramEmission:
         assert "(double*)bufs[3] + __b * 4" in text  # tmp
 
     def test_signature_lists_io(self):
-        """One ABI: the only external entries take (nb, bufs); the table
-        lists inputs, outputs, state and temps in that order (consts are
-        not in it), bound to the per-instance function's parameters."""
+        """One ABI: the only external entries are _init(nb, bufs) and
+        _step(nb, nsteps, bufs); the table lists inputs, outputs, state
+        and temps in that order (consts are not in it), bound to the
+        per-instance function's parameters."""
         text = emit_c(self.make_program())
         externs = [line for line in text.splitlines()
                    if line.startswith("void ")]
         assert externs == [
             "void demo_init(int64_t nb, void *const *bufs) {",
-            "void demo_step(int64_t nb, void *const *bufs) {"]
+            "void demo_step(int64_t nb, int64_t nsteps, "
+            "void *const *bufs) {"]
         assert ("static void demo__step(const double* restrict u, "
                 "double* restrict y, double* restrict s, "
                 "double* restrict tmp) {") in text
@@ -136,6 +138,15 @@ class TestProgramEmission:
                 "(double*)bufs[3] + __b * 4);") in text
         assert [d.name for d in abi_buffers(self.make_program())] == \
             ["u", "y", "s", "tmp"]
+
+    def test_step_loop_runs_in_c(self):
+        """_step runs nsteps steps of each instance: the step loop sits
+        inside the instance loop, so one call covers a whole run."""
+        text = emit_c(self.make_program())
+        step = text.split("void demo_step(")[1]
+        assert ("    for (int64_t __b = 0; __b < nb; __b++)\n"
+                "        for (int64_t __s = 0; __s < nsteps; __s++)\n"
+                "            demo__step(") in step
 
     def test_init_restores_state(self):
         text = emit_c(self.make_program())

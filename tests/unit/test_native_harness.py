@@ -22,12 +22,14 @@ def tiny_code():
 
 class TestGenerateMain:
     def test_declares_prototypes(self):
-        """main.c calls the model's one ABI: both entries take
-        (nb, bufs), and its table lists the input before the output."""
+        """main.c calls the model's one ABI — _init(nb, bufs) and
+        _step(nb, nsteps, bufs) — and its table lists the input before
+        the output."""
         code = tiny_code()
         main = generate_main(code, {"u": np.zeros(3)})
         assert "void Tiny_init(int64_t nb, void *const *bufs);" in main
-        assert "void Tiny_step(int64_t nb, void *const *bufs);" in main
+        assert ("void Tiny_step(int64_t nb, int64_t nsteps, "
+                "void *const *bufs);") in main
         u, y = code.input_buffers["u"], code.output_buffers["y"]
         assert f"bufs[] = {{(void *){u}_data, {y}_out, " in main
         assert "Tiny_init(1, bufs);" in main
@@ -46,6 +48,15 @@ class TestGenerateMain:
                                     repetitions=100)
         assert "clock_gettime" not in without
         assert "clock_gettime" in with_timing and "r < 100" in with_timing
+
+    def test_one_call_per_step_and_repetition(self):
+        """The harness keeps one one-step call per step and per timed
+        repetition, so its timings stay comparable across ABI versions."""
+        main = generate_main(tiny_code(), {"u": np.zeros(3)}, steps=7,
+                             repetitions=100)
+        assert "for (int s = 0; s < 7; s++) Tiny_step(1, 1, bufs);" in main
+        assert ("for (int r = 0; r < 100; r++) Tiny_step(1, 1, bufs);"
+                in main)
 
     def test_posix_define_precedes_includes(self):
         main = generate_main(tiny_code(), {"u": np.zeros(3)}, repetitions=1)

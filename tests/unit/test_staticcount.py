@@ -8,7 +8,7 @@ exactness contract the native backend relies on.
 import gc
 
 from repro.codegen import make_generator
-from repro.ir.interp import ContextCounts, VirtualMachine
+from repro.ir.interp import ContextCounts, OpCounts, VirtualMachine
 from repro.ir.ops import Expr
 from repro.ir.staticcount import StaticCounts, _Analyzer, analyze_counts
 from repro.sim.simulator import random_inputs
@@ -21,11 +21,14 @@ MODELS = ("Motivating", "Kalman", "Decryption")
 
 
 def _expected_counts(static: StaticCounts, steps: int) -> ContextCounts:
-    total = ContextCounts()
-    StaticCounts.apply(total, static.init)
-    for _ in range(steps):
-        StaticCounts.apply(total, static.step)
-    return total
+    """``init + steps × step``, summed field by field here rather than by
+    the VM's own count arithmetic (``ContextCounts.assign``)."""
+    init, step = static.init.as_dict(), static.step.as_dict()
+    return ContextCounts(**{
+        bucket: OpCounts(**{name: init[bucket][name]
+                            + steps * step[bucket][name]
+                            for name in init[bucket]})
+        for bucket in init})
 
 
 def _closure_counts(program, model, code, steps: int) -> ContextCounts:

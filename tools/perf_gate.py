@@ -8,9 +8,12 @@ fails the gate; cells missing from either side are reported but do not
 fail (the baseline machine may lack a compiler, or a new backend may
 not be in the baseline yet).
 
-Timing noise guard: cells whose baseline is below ``--floor-ms``
-(default 0.05 ms) are informational only — at that scale scheduler
-jitter swamps any real regression.
+Timing noise guard: cells whose baseline *timed run* is below
+``--floor-ms`` (default 0.05 ms) are informational only — at that scale
+scheduler jitter swamps any real regression.  A timed run is
+``ms_per_step × timed_steps``: the native column times runs of many
+steps (``NATIVE_STEPS`` in the benchmark), so its microsecond steps are
+gated on a run well above the floor.
 
 The gate also re-asserts the fusion acceptance floors: ImagePipeline ×
 frodo must keep an at-least-5× fused-vs-unfused per-step win on the
@@ -61,6 +64,12 @@ def cell_key(cell: dict) -> tuple:
     return (cell["model"], cell["generator"])
 
 
+def timed_steps(cell: dict, backend: str) -> int:
+    """Steps per timed run of one backend column (baselines without
+    ``timed_steps`` timed every column at the cell's ``steps``)."""
+    return cell.get("timed_steps", {}).get(backend, cell.get("steps", 1))
+
+
 def compare(baseline: dict, fresh: dict, threshold: float,
             floor_ms: float) -> tuple[list[str], list[str]]:
     """Return (failures, notes)."""
@@ -80,14 +89,15 @@ def compare(baseline: dict, fresh: dict, threshold: float,
                     notes.append(
                         f"{key} {column}[{backend}]: no baseline (skipped)")
                     continue
-                if want < floor_ms:
+                if want * timed_steps(base, backend) < floor_ms:
                     notes.append(
                         f"{key} {column}[{backend}]: baseline {want}ms "
-                        f"below noise floor (informational)")
+                        f"per step, timed run below noise floor "
+                        f"(informational)")
                     continue
                 ratio = got / want
                 line = (f"{key} {column}[{backend}]: "
-                        f"{want:.4f}ms -> {got:.4f}ms ({ratio:.2f}x)")
+                        f"{want:.6f}ms -> {got:.6f}ms ({ratio:.2f}x)")
                 if ratio > 1.0 + threshold:
                     failures.append(line)
                 else:
@@ -133,8 +143,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail on per-cell regressions beyond this "
                              "fraction (default 0.30 = +30%%)")
     parser.add_argument("--floor-ms", type=float, default=0.05,
-                        help="baseline cells faster than this are "
-                             "informational only")
+                        help="baseline cells whose timed run is faster "
+                             "than this are informational only")
     parser.add_argument("--quick", action="store_true",
                         help="frodo generator only, fewer repeats")
     parser.add_argument("--fresh", default=None,
