@@ -42,9 +42,11 @@ DEFAULT_GENERATORS = ("simulink", "dfsynth", "hcg", "frodo")
 INTERP_BACKENDS = ("closure", "vector", "auto")
 #: Steps per timed native run.  A native step is microseconds of C, so a
 #: one-step run times mostly the Python around the call and sits under
-#: any useful noise floor; like perfbench's kernel workload, the native
-#: column times runs of this many steps and reports milliseconds per step.
-NATIVE_STEPS = 64
+#: any useful noise floor; the native column times runs of this many
+#: steps and reports milliseconds per step.  256 keeps the fastest cell
+#: (AudioProcess × frodo, under 1 µs per step) at least 4× above
+#: ``tools/perf_gate.py``'s 0.05 ms floor, so every native cell is gated.
+NATIVE_STEPS = 256
 
 
 def best_of(fn, repeats: int, warmup: int = 1) -> float:

@@ -160,8 +160,10 @@ class CodeGenerator:
                 spec_for(block).emit_update(block, contexts[name])
 
         if self.fuse_elementwise:
-            from repro.codegen.fusion import fuse_elementwise_loops
-            fused = fuse_elementwise_loops(program)
+            # No buffer contraction: the variant's static-memory stats
+            # keep describing the program as generated.
+            from repro.ir.fuse import fuse_step_inplace
+            fused = fuse_step_inplace(program, contract=False).nests_fused
             if fused:
                 program.notes["__fusion__"] = f"{fused} loop pair(s) fused"
         if self.reuse_buffers:

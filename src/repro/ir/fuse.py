@@ -70,7 +70,7 @@ of the fused program equal the unfused program's exactly (only the
 The pass is pure: :func:`fuse_program` returns a new program (expressions
 are shared — they are immutable — but every statement and any contracted
 buffer declaration is fresh).  :func:`fuse_step_inplace` is the in-place
-variant :mod:`repro.codegen.fusion` delegates to.
+variant the ``frodo-fused`` generator calls (without contraction).
 
 ``REPRO_FUSE_AGGRESSIVE=1`` in the environment lifts the sliding-window
 profitability gates (delta cap and minimum-savings threshold) so fuzzing

@@ -559,14 +559,8 @@ class VirtualMachine:
             # Both hooks are a single load-and-branch when idle: span()
             # returns a shared no-op unless a trace is active, and the
             # profiler check is one module-global read per run.
-            fused = self.fusion_stats
             with _tracing.span("vm.run", backend=self.backend,
-                               program=self.program.name, steps=steps,
-                               fuse=self.fuse,
-                               fusion_nests_fused=(
-                                   fused.nests_fused if fused else 0),
-                               fusion_buffers_contracted=(
-                                   fused.buffers_contracted if fused else 0)):
+                               program=self.program.name, steps=steps):
                 self.reset()
                 self.set_inputs(inputs)
                 self._run_steps(steps, _vmprofile.active())
@@ -1231,10 +1225,11 @@ def _store_token(so_cache_dir):
 # a background compile, see repro.serve.adaptive) is served by a native
 # VM instead of the vector one.  A fingerprint that has been *demoted*
 # (toolchain failure) never retries — the vector path is the permanent
-# fallback.  Keys are ``(program_fingerprint, fuse)``; the stored value
-# remembers which ``.so`` store the promotion was built against.
-_PROMOTIONS: dict[tuple[str, bool], dict] = {}
-_DEMOTIONS: set[tuple[str, bool]] = set()
+# fallback.  Keys are program fingerprints (a fused program fingerprints
+# apart from its unfused original); the stored value remembers which
+# ``.so`` store the promotion was built against.
+_PROMOTIONS: dict[str, dict] = {}
+_DEMOTIONS: set[str] = set()
 
 
 def _forget_after_fork() -> None:
@@ -1279,42 +1274,38 @@ def vm_cache_limit() -> int:
     return _VM_CACHE_MAX
 
 
-def promote_fingerprint(fp: str, fuse: bool = True,
-                        so_cache_dir=None) -> bool:
+def promote_fingerprint(fp: str, so_cache_dir=None) -> bool:
     """Route future ``backend="auto"`` resolutions of ``fp`` to native.
 
     Call only after the ``.so`` exists (the promotion contract: requests
     never block on gcc).  Returns False when the fingerprint was already
     demoted — demotion is permanent and wins.
     """
-    key = (fp, bool(fuse))
     with _VM_CACHE_LOCK:
-        if key in _DEMOTIONS:
+        if fp in _DEMOTIONS:
             return False
-        _PROMOTIONS[key] = {"so_cache_dir": so_cache_dir}
+        _PROMOTIONS[fp] = {"so_cache_dir": so_cache_dir}
     return True
 
 
-def demote_fingerprint(fp: str, fuse: bool = True) -> None:
+def demote_fingerprint(fp: str) -> None:
     """Permanently pin ``fp`` to the vector path under ``backend="auto"``.
 
     Used when the native toolchain failed for this program — promotion
     will not be retried (a broken build would fail identically), and the
     vector VM remains the always-available fallback.
     """
-    key = (fp, bool(fuse))
     with _VM_CACHE_LOCK:
-        _PROMOTIONS.pop(key, None)
-        _DEMOTIONS.add(key)
+        _PROMOTIONS.pop(fp, None)
+        _DEMOTIONS.add(fp)
 
 
-def promotion_state(fp: str, fuse: bool = True) -> str:
+def promotion_state(fp: str) -> str:
     """``"promoted"``, ``"demoted"`` or ``"none"`` for one fingerprint."""
-    key = (fp, bool(fuse))
     with _VM_CACHE_LOCK:
-        if key in _DEMOTIONS:
+        if fp in _DEMOTIONS:
             return "demoted"
-        return "promoted" if key in _PROMOTIONS else "none"
+        return "promoted" if fp in _PROMOTIONS else "none"
 
 
 def clear_promotions() -> None:
@@ -1328,11 +1319,13 @@ def install_cached_vm(program: Program, vm: VirtualMachine,
                       so_cache_dir=None) -> None:
     """Insert a pre-built VM into the warm cache (the promotion swap).
 
-    ``program`` must be the *original* (pre-fusion) program — the cache
-    keys on its fingerprint exactly as :func:`cached_vm` would, so the
-    next ``cached_vm`` call for the same coordinates returns ``vm``
-    without building anything.  The insert is atomic under the cache
-    lock; an existing entry is replaced.
+    ``program`` must be the program ``vm`` was built from — the cache
+    keys on its fingerprint and on ``vm.fuse`` exactly as
+    :func:`cached_vm` would, so the next ``cached_vm`` call with the same
+    program and ``fuse`` returns ``vm`` without building anything.  The
+    serve layer builds from a stored (already fused) program with
+    ``fuse=False``.  The insert is atomic under the cache lock; an
+    existing entry is replaced.
     """
     from repro.ir.vectorize import fingerprint
     fp = fingerprint(program)
@@ -1381,7 +1374,9 @@ def cached_vm(program: Program, backend: str = "auto",
     ``so_cache_dir`` (native backend only) is part of the key — VMs bound
     to different ``.so`` stores are never conflated.  ``fuse`` is part of
     the key too: a ``fuse=False`` caller can never receive a VM whose
-    program was rewritten by the fusion pass, and vice versa.
+    program was rewritten by the fusion pass, and vice versa.  A caller
+    holding an already-fused program (a served artifact) passes
+    ``fuse=False`` and runs it as it is.
 
     Thread-safety: the cache bookkeeping is locked, so concurrent callers
     never corrupt the LRU dict — but two callers asking for the same
@@ -1393,8 +1388,9 @@ def cached_vm(program: Program, backend: str = "auto",
 
     **Adaptive auto.**  With ``backend="auto"``, a fingerprint promoted
     via :func:`promote_fingerprint` resolves to a native VM bound to the
-    promotion's ``.so`` store instead — normally a pure cache hit (the
-    promoting compile pre-installs the VM via :func:`install_cached_vm`);
+    promotion's ``.so`` store instead (built with the caller's ``fuse``)
+    — normally a pure cache hit (the promoting compile pre-installs the
+    VM via :func:`install_cached_vm`);
     after an eviction the rebuild dlopens the already-built ``.so``
     without invoking the compiler.  If native resolution fails anyway
     (toolchain revoked, store deleted), the fingerprint is demoted and
@@ -1404,17 +1400,15 @@ def cached_vm(program: Program, backend: str = "auto",
     from repro.ir.vectorize import fingerprint
     fp = fingerprint(program)  # pure and slow-ish: compute outside the lock
     if backend == "auto":
-        pkey = (fp, bool(fuse))
         with _VM_CACHE_LOCK:
-            promo = (None if pkey in _DEMOTIONS
-                     else _PROMOTIONS.get(pkey))
+            promo = None if fp in _DEMOTIONS else _PROMOTIONS.get(fp)
         if promo is not None:
             from repro.errors import NativeToolchainError
             try:
                 return _lookup_or_build(program, fp, "native",
                                         promo["so_cache_dir"], bool(fuse))
             except NativeToolchainError:
-                demote_fingerprint(fp, fuse)
+                demote_fingerprint(fp)
     return _lookup_or_build(program, fp, backend, so_cache_dir, bool(fuse))
 
 

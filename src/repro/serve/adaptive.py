@@ -113,17 +113,15 @@ class AdaptiveConfig:
 
 
 class _Entry:
-    """Heat and promotion state of one ``(fingerprint, fuse)``."""
+    """Heat and promotion state of one program fingerprint."""
 
-    __slots__ = ("program_fp", "fuse", "state", "heat", "invocations",
+    __slots__ = ("program_fp", "state", "heat", "invocations",
                  "last_update", "step_ns", "compile_ns", "first_seen",
                  "promoted_at", "compile_seconds", "model_name",
                  "seeded", "last_publish")
 
-    def __init__(self, program_fp: str, fuse: bool, model_name: str,
-                 now: float):
+    def __init__(self, program_fp: str, model_name: str, now: float):
         self.program_fp = program_fp
-        self.fuse = fuse
         self.model_name = model_name
         self.state = "cold"  # cold -> compiling -> promoted | demoted
         self.heat = 0.0  # decayed steps × batch units
@@ -234,7 +232,7 @@ class AdaptiveController:
         #: a re-hash starts from observed heat, not from zero.
         self.heat_store = heat_store
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple[str, bool], _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._events: list[dict] = []
         self._futures: list[Future] = []
         self._executor: ThreadPoolExecutor | None = None
@@ -277,9 +275,11 @@ class AdaptiveController:
     # -- request path ------------------------------------------------------
 
     def observe(self, program, steps: int, batch: int = 1,
-                fuse: bool = True, model_name: str = "?") -> dict:
+                model_name: str = "?") -> dict:
         """Record one ``backend="auto"`` request; maybe start a promotion.
 
+        ``program`` is the program the request runs (a served artifact's,
+        fused or not), so heat is tracked per program fingerprint.
         Returns a small status dict for the response meta:
         ``{"state": ..., "heat": ...}``.  Never blocks on compilation —
         the heaviest thing on this path is the one-time cost-model
@@ -290,14 +290,13 @@ class AdaptiveController:
         now = time.monotonic()
         promote_entry = None
         with self._lock:
-            key = (fp, bool(fuse))
-            entry = self._entries.get(key)
+            entry = self._entries.get(fp)
             if entry is None:
-                entry = _Entry(fp, bool(fuse), model_name, now)
+                entry = _Entry(fp, model_name, now)
                 # This thread owns the (single) persisted-heat lookup.
                 entry.seeded = self.heat_store is None
                 need_seed = not entry.seeded
-                self._entries[key] = entry
+                self._entries[fp] = entry
                 while len(self._entries) > self.config.max_tracked:
                     evicted_key, evicted = self._entries.popitem(last=False)
                     if evicted.state == "compiling":
@@ -306,7 +305,7 @@ class AdaptiveController:
                         self._entries.move_to_end(evicted_key, last=True)
                         break
             else:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(fp)
                 need_seed = False
             dt = now - entry.last_update
             if dt > 0 and self.config.half_life_seconds > 0:
@@ -357,7 +356,7 @@ class AdaptiveController:
         the record's ``updated_at`` is ``time.time()`` from whichever
         shard last owned the slice, possibly a different process.
         """
-        record = self.heat_store.load(entry.program_fp, entry.fuse) \
+        record = self.heat_store.load(entry.program_fp) \
             if self.heat_store is not None else None
         with self._lock:
             if entry.seeded:
@@ -396,8 +395,7 @@ class AdaptiveController:
                 "invocations": entry.invocations,
                 "model": entry.model_name,
             }
-            fp, fuse = entry.program_fp, entry.fuse
-        self.heat_store.save(fp, fuse, payload)
+        self.heat_store.save(entry.program_fp, payload)
 
     # -- background promotion ----------------------------------------------
 
@@ -418,25 +416,25 @@ class AdaptiveController:
         """Background job: build the ``.so``, swap the VM cache, promote.
 
         Runs on an executor thread — a request that arrives while this
-        compiles is still served by the vector VM.
+        compiles is still served by the vector VM.  ``program`` is built
+        as it is (``fuse=False``): it is the program the requests run.
         """
         from repro.errors import NativeToolchainError
         from repro.ir.interp import (VirtualMachine, install_cached_vm,
                                      promote_fingerprint)
         root = tracing.start_trace(
             "native.promote", model=entry.model_name,
-            fingerprint=entry.program_fp[:12], fuse=entry.fuse)
+            fingerprint=entry.program_fp[:12])
         t0 = time.perf_counter()
         try:
             with root:
                 vm = VirtualMachine(program, backend="native",
                                     so_cache_dir=self.so_cache_dir,
-                                    fuse=entry.fuse)
+                                    fuse=False)
                 install_cached_vm(program, vm,
                                   so_cache_dir=self.so_cache_dir)
                 promoted = promote_fingerprint(
-                    entry.program_fp, entry.fuse,
-                    so_cache_dir=self.so_cache_dir)
+                    entry.program_fp, so_cache_dir=self.so_cache_dir)
                 root.set(outcome="promoted" if promoted else "demoted")
         except NativeToolchainError as exc:
             self._finish(entry, "demoted", t0, root, str(exc))
@@ -453,12 +451,11 @@ class AdaptiveController:
         elapsed = time.perf_counter() - t0
         if state == "demoted":
             from repro.ir.interp import demote_fingerprint
-            demote_fingerprint(entry.program_fp, entry.fuse)
+            demote_fingerprint(entry.program_fp)
         event = {
             "event": state,
             "model": entry.model_name,
             "fingerprint": entry.program_fp[:12],
-            "fuse": entry.fuse,
             "compile_seconds": round(elapsed, 6),
         }
         if error is not None:
@@ -492,10 +489,10 @@ class AdaptiveController:
                 counts[entry.state] = counts.get(entry.state, 0) + 1
         return counts
 
-    def state_of(self, program, fuse: bool = True) -> str | None:
+    def state_of(self, program) -> str | None:
         from repro.ir.vectorize import fingerprint
         with self._lock:
-            entry = self._entries.get((fingerprint(program), bool(fuse)))
+            entry = self._entries.get(fingerprint(program))
             return entry.state if entry is not None else None
 
     def wait_idle(self, timeout: float = 60.0) -> bool:

@@ -248,12 +248,14 @@ class BatchQueue:
                 if k in meta:
                     inst_meta[k] = meta[k]
             if rank == 0:
-                # Cache events happened once for the whole batch; surface
-                # them on one member so the registry counts them once.
-                # Same for the adaptive tier's telemetry: promotion events
-                # and the eviction total are whole-worker facts.
-                for k in ("artifact_cache", "vm_cache", "adaptive_events",
-                          "adaptive_states", "vm_cache_evictions"):
+                # Cache events (and the fusion work of a compile)
+                # happened once for the whole batch; surface them on one
+                # member so the registry counts them once.  Same for the
+                # adaptive tier's telemetry: promotion events and the
+                # eviction total are whole-worker facts.
+                for k in ("artifact_cache", "vm_cache", "fusion",
+                          "adaptive_events", "adaptive_states",
+                          "vm_cache_evictions"):
                     if k in meta:
                         inst_meta[k] = meta[k]
             ctx = req.get("_trace")

@@ -1,16 +1,18 @@
 """Persistent content-addressed artifact cache for generated programs.
 
 A served ``compile`` or ``run`` request costs model construction +
-dataflow analysis + range determination + code generation before a single
-element is executed.  All of that is a pure function of
-``(model, generator)``, so the service stores the result — the lowered
-:class:`~repro.ir.ops.Program` plus its inport/outport buffer maps and
-summary statistics — as an ``artifact`` blob of :mod:`repro.blobstore`::
+dataflow analysis + range determination + code generation + loop fusion
+before a single element is executed.  All of that is a pure function of
+``(model, generator, fuse)``, so the service stores the result — the
+program that runs (fused when ``fuse`` is on) plus its inport/outport
+buffer maps and summary statistics — as an ``artifact`` blob of
+:mod:`repro.blobstore`::
 
     <cache_dir>/artifact/<aa>/<key>.blob
 
-where ``key = sha256(model_fingerprint : generator : backend : fuse)``
-and the model fingerprint is the sha256 of the model's canonical ``.mdl``
+where ``key = sha256(model_fingerprint : generator : - : fuse)`` (no
+backend: every backend runs the same stored program) and the model
+fingerprint is the sha256 of the model's canonical ``.mdl``
 text (so the same model uploaded as ``.slx`` or referenced as a zoo name
 shares one artifact).  A restarted server therefore skips code generation
 entirely for every model it has seen before — the SLNET observation that
@@ -36,18 +38,25 @@ from typing import Optional
 from repro.blobstore import open_store
 from repro.ir.ops import Program
 
-#: Bump when the artifact payload layout changes; older entries become
-#: cache misses instead of deserialization errors.
-ARTIFACT_VERSION = 1
+#: Bump when the artifact payload's layout or meaning changes (2: the
+#: program is stored fused); older entries become cache misses instead
+#: of deserialization errors or unfused programs run as fused ones.
+ARTIFACT_VERSION = 2
 
 
 @dataclass
 class Artifact:
-    """One cached compilation result."""
+    """One cached compilation result: the program every backend runs.
+
+    With ``fuse`` on, ``program`` is already fused and ``stats["fusion"]``
+    holds its :class:`~repro.ir.fuse.FusionStats`; consumers execute,
+    emit or promote it as it is (``fuse=False`` on the VM).
+    """
 
     model_fingerprint: str
     model_name: str
     generator: str
+    #: ``"-"`` for served artifacts: they do not depend on the backend.
     backend: str
     program: Program
     #: Inport block name -> program input buffer name.
@@ -98,8 +107,9 @@ def artifact_key(model_fp: str, generator: str, backend: str = "-",
     """Content address for one (model, generator, backend, fuse) cell.
 
     ``fuse`` participates in the key so a ``fuse: false`` request can
-    never be served an artifact whose stats or emitted source reflect
-    the IR-level loop-fusion pass (and vice versa).
+    never be served an artifact whose program was rewritten by the
+    IR-level loop-fusion pass (and vice versa).  The serve layer leaves
+    ``backend`` at ``"-"``: one artifact serves every backend.
     """
     return hashlib.sha256(
         f"{model_fp}:{generator}:{backend}:fuse={int(bool(fuse))}"

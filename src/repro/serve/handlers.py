@@ -132,16 +132,19 @@ def _fuse_flag(req: dict) -> bool:
     return value
 
 
-def _native_vm(program, backend: str, ctx: "HandlerContext",
-               fuse: bool = True):
-    """``cached_vm`` with native-backend wiring: ``.so`` bundles live in
-    the artifact cache's blob store, and toolchain failures become the
-    typed ``native_unavailable`` error instead of an internal one
-    (explicit ``backend="native"`` never silently falls back — benchmark
-    numbers must not lie).  ``backend="auto"`` may resolve to a *native*
-    VM when the program's fingerprint was promoted by the adaptive tier
-    (see :mod:`repro.serve.adaptive`); callers report ``vm.backend`` as
-    the effective backend.
+def _native_vm(program, backend: str, ctx: "HandlerContext"):
+    """``cached_vm`` over an artifact's program, with native-backend
+    wiring: ``.so`` bundles live in the artifact cache's blob store, and
+    toolchain failures become the typed ``native_unavailable`` error
+    instead of an internal one (explicit ``backend="native"`` never
+    silently falls back — benchmark numbers must not lie).
+    ``backend="auto"`` may resolve to a *native* VM when the program's
+    fingerprint was promoted by the adaptive tier (see
+    :mod:`repro.serve.adaptive`); callers report ``vm.backend`` as the
+    effective backend.
+
+    The program is run as stored (``fuse=False``): the artifact already
+    holds the fused program when the request asked for fusion.
 
     On a cluster shard that store is the shard's local store in front of
     the shared one, so another shard's build is a download + dlopen and
@@ -154,22 +157,19 @@ def _native_vm(program, backend: str, ctx: "HandlerContext",
         so_store = ctx.cache.store
     try:
         acquire = tracing.span("vm.acquire", backend=backend,
-                               program=program.name, fuse=fuse)
+                               program=program.name)
         with acquire:
             vm = cached_vm(program, backend=backend, so_cache_dir=so_store,
-                           fuse=fuse)
+                           fuse=False)
             if vm.backend != backend:
                 acquire.set(backend_effective=vm.backend)
-            if vm.fusion_stats is not None:
-                acquire.set(**{f"fusion_{k}": v for k, v
-                               in vm.fusion_stats.as_dict().items()})
         return vm
     except NativeToolchainError as exc:
         raise ServeError("native_unavailable", str(exc))
 
 
 def _observe_adaptive(artifact: Artifact, backend: str, steps: int,
-                      batch: int, fuse: bool, ctx: "HandlerContext") -> None:
+                      batch: int, ctx: "HandlerContext") -> None:
     """Feed one ``auto`` request into the adaptive heat tracker.
 
     Only updates counters and possibly *enqueues* a background compile —
@@ -183,7 +183,7 @@ def _observe_adaptive(artifact: Artifact, backend: str, steps: int,
     if controller is None:
         return
     ctx.meta["adaptive"] = controller.observe(
-        artifact.program, steps=steps, batch=batch, fuse=fuse,
+        artifact.program, steps=steps, batch=batch,
         model_name=artifact.model_name)
 
 
@@ -200,19 +200,22 @@ def _int_field(req: dict, name: str, default: int, lo: int, hi: int) -> int:
 # -- artifact production -------------------------------------------------------
 
 
-def get_or_compile(model, model_fp: str, generator: str, backend: str,
+def get_or_compile(model, model_fp: str, generator: str,
                    cache: ArtifactCache | None,
                    fuse: bool = True) -> tuple[Artifact, str]:
-    """Fetch the compiled artifact for (model, generator, backend, fuse).
+    """Fetch the compiled artifact for (model, generator, fuse).
 
     Returns ``(artifact, source)`` where source is ``"hit"`` (loaded from
     the on-disk cache), ``"miss"`` (freshly generated and stored), or
-    ``"off"`` (no cache configured).  The stored program is always the
-    generator's output — fusion happens in the VM — but ``fuse``
-    participates in the key and in the artifact's stats so the two
-    configurations never share a cache cell.
+    ``"off"`` (no cache configured).  Compiling is code generation and,
+    with ``fuse`` on, one :func:`~repro.ir.fuse.fuse_program` call: the
+    artifact stores the fused program with its stats in
+    ``stats["fusion"]``, so no consumer fuses again (the ``codegen``
+    span covers both).  The other stats describe the program as
+    generated.  No backend enters the key: every backend runs the same
+    stored program.
     """
-    key = artifact_key(model_fp, generator, backend, fuse)
+    key = artifact_key(model_fp, generator, fuse=fuse)
     if cache is not None:
         lookup = tracing.span("cache.lookup", cache="artifact", key=key[:12])
         with lookup:
@@ -221,14 +224,17 @@ def get_or_compile(model, model_fp: str, generator: str, backend: str,
         if artifact is not None:
             return artifact, "hit"
     from repro.codegen import make_generator
+    from repro.ir.fuse import fuse_program
     with tracing.span("codegen", generator=generator, model=model.name):
         code = make_generator(generator).generate(model)
+        program, fstats = (fuse_program(code.program) if fuse
+                           else (code.program, None))
     artifact = Artifact(
         model_fingerprint=model_fp,
         model_name=model.name,
         generator=generator,
-        backend=backend,
-        program=code.program,
+        backend="-",
+        program=program,
         input_buffers=dict(code.input_buffers),
         output_buffers=dict(code.output_buffers),
         stats={
@@ -241,15 +247,26 @@ def get_or_compile(model, model_fp: str, generator: str, backend: str,
                 code.ranges.eliminated_elements(code.analyzed),
         },
     )
-    if fuse:
-        from repro.ir.fuse import fuse_program
-        _, fstats = fuse_program(code.program)
+    if fstats is not None:
         artifact.stats["fusion"] = fstats.as_dict()
     if cache is not None:
         with tracing.span("cache.store", cache="artifact", key=key[:12]):
             cache.put(key, artifact)
         return artifact, "miss"
     return artifact, "off"
+
+
+def _fetch_artifact(model, model_fp: str, generator: str, fuse: bool,
+                    ctx: "HandlerContext") -> Artifact:
+    """:func:`get_or_compile`, noting the cache outcome and the
+    artifact's fusion stats in the response meta (the server counts
+    fusion work only for artifacts that were not a cache hit)."""
+    artifact, source = get_or_compile(model, model_fp, generator, ctx.cache,
+                                      fuse)
+    ctx.meta["artifact_cache"] = source
+    if "fusion" in artifact.stats:
+        ctx.meta["fusion"] = artifact.stats["fusion"]
+    return artifact
 
 
 # -- op implementations --------------------------------------------------------
@@ -266,12 +283,10 @@ def op_ping(req: dict, ctx: "HandlerContext") -> dict:
 
 def op_compile(req: dict, ctx: "HandlerContext") -> dict:
     generator = _generator_name(req)
-    backend = _backend_name(req)
+    _backend_name(req)  # validated; the artifact serves every backend
     fuse = _fuse_flag(req)
     model, model_fp = resolve_model(req)
-    artifact, source = get_or_compile(model, model_fp, generator, backend,
-                                      ctx.cache, fuse)
-    ctx.meta["artifact_cache"] = source
+    artifact = _fetch_artifact(model, model_fp, generator, fuse, ctx)
     result = {
         "model": artifact.model_name,
         "model_fingerprint": model_fp,
@@ -281,11 +296,7 @@ def op_compile(req: dict, ctx: "HandlerContext") -> dict:
     }
     if req.get("include_source"):
         from repro.codegen import emit_c
-        program = artifact.program
-        if fuse:
-            from repro.ir.fuse import fuse_program
-            program, _ = fuse_program(program)
-        result["c_source"] = emit_c(program)
+        result["c_source"] = emit_c(artifact.program)
     return result
 
 
@@ -331,14 +342,12 @@ def op_run(req: dict, ctx: "HandlerContext") -> dict:
     steps = _int_field(req, "steps", 1, 1, MAX_STEPS)
     seed = _int_field(req, "seed", 0, 0, 2 ** 32 - 1)
     model, model_fp = resolve_model(req)
-    artifact, source = get_or_compile(model, model_fp, generator, backend,
-                                      ctx.cache, fuse)
-    ctx.meta["artifact_cache"] = source
+    artifact = _fetch_artifact(model, model_fp, generator, fuse, ctx)
 
     inputs = _decode_inputs(req, model, artifact, seed)
-    _observe_adaptive(artifact, backend, steps, 1, fuse, ctx)
+    _observe_adaptive(artifact, backend, steps, 1, ctx)
     hits_before = vm_cache_stats()["hits"]
-    vm = _native_vm(artifact.program, backend, ctx, fuse)
+    vm = _native_vm(artifact.program, backend, ctx)
     ctx.meta["vm_cache"] = (
         "hit" if vm_cache_stats()["hits"] > hits_before else "miss")
     t0 = time.perf_counter()
@@ -358,8 +367,7 @@ def op_run(req: dict, ctx: "HandlerContext") -> dict:
         "backend": backend,
         "backend_effective": vm.backend,
         "fuse": fuse,
-        "fusion": (vm.fusion_stats.as_dict()
-                   if vm.fusion_stats is not None else None),
+        "fusion": artifact.stats.get("fusion"),
         "steps": steps,
         "execute_seconds": round(execute_seconds, 6),
         "counts": totals.as_dict(),
@@ -368,8 +376,6 @@ def op_run(req: dict, ctx: "HandlerContext") -> dict:
         "peak_buffer_bytes": exec_result.peak_buffer_bytes,
         "output_sha256": _output_digest(outputs),
     }
-    if vm.fusion_stats is not None:
-        ctx.meta["fusion"] = vm.fusion_stats.as_dict()
     if req.get("include_outputs", True):
         result["outputs"] = outputs
     return result
@@ -414,9 +420,7 @@ def op_run_batch(req: dict, ctx: "HandlerContext") -> dict:
             f"run_batch accepts at most {MAX_BATCH_INSTANCES} instances, "
             f"got {len(instances)}")
     model, model_fp = resolve_model(req)
-    artifact, source = get_or_compile(model, model_fp, generator, backend,
-                                      ctx.cache, fuse)
-    ctx.meta["artifact_cache"] = source
+    artifact = _fetch_artifact(model, model_fp, generator, fuse, ctx)
 
     results: list[dict | None] = [None] * len(instances)
     decoded: list[tuple[int, dict]] = []
@@ -432,15 +436,12 @@ def op_run_batch(req: dict, ctx: "HandlerContext") -> dict:
             results[i] = {"ok": False, "error_type": exc.error_type,
                           "error": exc.message}
 
-    _observe_adaptive(artifact, backend, steps, max(len(decoded), 1), fuse,
-                      ctx)
+    _observe_adaptive(artifact, backend, steps, max(len(decoded), 1), ctx)
     hits_before = vm_cache_stats()["hits"]
-    vm = _native_vm(artifact.program, backend, ctx, fuse)
+    vm = _native_vm(artifact.program, backend, ctx)
     ctx.meta["vm_cache"] = (
         "hit" if vm_cache_stats()["hits"] > hits_before else "miss")
     ctx.meta["batched"] = len(decoded)
-    if vm.fusion_stats is not None:
-        ctx.meta["fusion"] = vm.fusion_stats.as_dict()
 
     execute_seconds = 0.0
     counts: dict = {}
@@ -477,8 +478,7 @@ def op_run_batch(req: dict, ctx: "HandlerContext") -> dict:
         "backend": backend,
         "backend_effective": vm.backend,
         "fuse": fuse,
-        "fusion": (vm.fusion_stats.as_dict()
-                   if vm.fusion_stats is not None else None),
+        "fusion": artifact.stats.get("fusion"),
         "steps": steps,
         "batch": len(instances),
         "executed": len(decoded),
@@ -533,10 +533,10 @@ def op_report(req: dict, ctx: "HandlerContext") -> dict:
     for generator in generators:
         _generator_name({"generator": generator})
         artifact, source = get_or_compile(model, model_fp, generator,
-                                          backend, ctx.cache, fuse)
+                                          ctx.cache, fuse)
         artifact_hits += source == "hit"
         artifact_misses += source == "miss"
-        vm = _native_vm(artifact.program, backend, ctx, fuse)
+        vm = _native_vm(artifact.program, backend, ctx)
         inputs = {artifact.input_buffers[n]: v for n, v in named.items()}
         totals = vm.run(inputs, steps=steps).counts.total
         rows.append({
@@ -545,8 +545,7 @@ def op_report(req: dict, ctx: "HandlerContext") -> dict:
             "flops": totals.flops,
             "static_bytes": artifact.stats["static_bytes"],
             "eliminated_elements": artifact.stats["eliminated_elements"],
-            "fusion": (vm.fusion_stats.as_dict()
-                       if vm.fusion_stats is not None else None),
+            "fusion": artifact.stats.get("fusion"),
         })
     ctx.meta["artifact_cache"] = (
         "hit" if artifact_misses == 0 and artifact_hits else

@@ -162,10 +162,11 @@ class MetricsRegistry:
             "(queue, pool.acquire, worker.handle, codegen, vm.run, ...)")
         self.fusion = Counter(
             "fusion_total",
-            "loop-fusion work by freshly built VMs: nests_fused, "
-            "buffers_contracted, buffers_windowed, bytes_saved, and the "
-            "audit counters flag_mismatch_rejects, nested_depth_rejects, "
-            "window_shape_rejects (cached VMs add nothing)")
+            "loop-fusion work by freshly compiled artifacts: "
+            "nests_fused, buffers_contracted, buffers_windowed, "
+            "bytes_saved, and the audit counters flag_mismatch_rejects, "
+            "nested_depth_rejects, window_shape_rejects (stored artifacts "
+            "add nothing)")
         self.backend_promotions = Counter(
             "backend_promotions_total",
             "fingerprints promoted to native by the adaptive tier")
@@ -224,8 +225,8 @@ class MetricsRegistry:
                 self.batch_queue_delay.observe(delay)
 
     def record_fusion(self, stats: dict) -> None:
-        """Fold one VM's fusion stats (a ``FusionStats.as_dict()``) into
-        the aggregate counters."""
+        """Fold one compiled artifact's fusion stats (a
+        ``FusionStats.as_dict()``) into the aggregate counters."""
         with self._lock:
             for key in ("nests_fused", "buffers_contracted",
                         "buffers_windowed", "bytes_saved",

@@ -263,9 +263,9 @@ class ReproServer:
             if event in ("hit", "miss"):
                 self.metrics.record_cache(cache, event)
         fusion = meta.get("fusion")
-        if isinstance(fusion, dict) and meta.get("vm_cache") != "hit":
-            # Only freshly built VMs did fusion work; a warm-cache hit
-            # would double-count the same program's stats.
+        if isinstance(fusion, dict) and meta.get("artifact_cache") != "hit":
+            # Fusion runs when an artifact is compiled; a stored artifact
+            # would count the same program's stats again.
             self.metrics.record_fusion(fusion)
         worker_pid = meta.get("worker_pid", 0)
         for event in meta.get("adaptive_events", ()):

@@ -2,9 +2,9 @@
 
 Every on-disk cache is one :mod:`repro.blobstore` store keyed by
 ``(kind, key)``, and its keys are location-independent by construction —
-``sha256(model_fp : generator : backend : fuse)`` names the same bytes
-on every box — so scaling the cache out is a transport problem, not a
-keying problem.  This module supplies that transport:
+an artifact's ``sha256(model_fp : generator : - : fuse)`` names the same
+compiled (and, with ``fuse`` on, already fused) program on every box —
+so scaling the cache out is a transport problem, not a keying problem.  This module supplies that transport:
 
 * :class:`StoreServer` / :class:`RemoteStore` — a tiny NDJSON-over-TCP
   get/put/stat protocol (blobs ride base64) over one
@@ -16,7 +16,8 @@ keying problem.  This module supplies that transport:
   and native ``.so`` bundles both ride it, so the fleet compiles each
   distinct program once and every shard still serves hot keys from its
   own disk;
-* :class:`HeatStore` — per-fingerprint heat records, letting a shard
+* :class:`HeatStore` — heat records per program fingerprint (the
+  fingerprint of the program a request runs), letting a shard
   that inherits a slice after a re-hash start from observed heat
   instead of cold (see :mod:`repro.serve.adaptive`).  Heat is the one
   mutable kind: in a cluster it is read and written on the shared store
@@ -320,10 +321,11 @@ class TieredStore:
 # -- heat persistence ----------------------------------------------------------
 
 
-def heat_key(program_fp: str, fuse: bool) -> str:
-    """Content address of one fingerprint's persisted heat record."""
-    return hashlib.sha256(
-        f"heat:{program_fp}:fuse={int(bool(fuse))}".encode()).hexdigest()
+def heat_key(program_fp: str) -> str:
+    """Content address of one program fingerprint's persisted heat
+    record.  A fused program fingerprints apart from its unfused
+    original, so the two never share a record."""
+    return hashlib.sha256(f"heat:{program_fp}".encode()).hexdigest()
 
 
 class HeatStore:
@@ -338,24 +340,21 @@ class HeatStore:
 
     def __init__(self, backend):
         self.backend = backend
-        self.errors = 0
 
-    def load(self, program_fp: str, fuse: bool) -> Optional[dict]:
+    def load(self, program_fp: str) -> Optional[dict]:
         try:
-            blob = self.backend.get("heat", heat_key(program_fp, fuse))
+            blob = self.backend.get("heat", heat_key(program_fp))
             if blob is None:
                 return None
             payload = json.loads(blob)
             return payload if isinstance(payload, dict) else None
         except (StoreError, ValueError, OSError):
-            self.errors += 1
             return None
 
-    def save(self, program_fp: str, fuse: bool, payload: dict) -> bool:
+    def save(self, program_fp: str, payload: dict) -> bool:
         try:
-            self.backend.put("heat", heat_key(program_fp, fuse),
+            self.backend.put("heat", heat_key(program_fp),
                              json.dumps(payload).encode())
             return True
         except (StoreError, TypeError, ValueError, OSError):
-            self.errors += 1
             return False

@@ -12,9 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.codegen import FrodoGenerator
 from repro.codegen.bufreuse import reuse_buffers
-from repro.codegen.fusion import fuse_elementwise_loops
 from repro.core.analysis import analyze
 from repro.core.ranges import determine_ranges, determine_ranges_worklist
+from repro.ir.fuse import fuse_step_inplace
 from repro.ir.interp import VirtualMachine
 from repro.model.mdl import load_mdl, save_mdl
 from repro.sim.simulator import random_inputs, simulate
@@ -46,8 +46,8 @@ def test_fusion_preserves_semantics(model, seed):
 @given(chain_models())
 def test_fusion_is_idempotent(model):
     code = FrodoGenerator().generate(model)
-    fuse_elementwise_loops(code.program)
-    assert fuse_elementwise_loops(code.program) == 0
+    fuse_step_inplace(code.program, contract=False)
+    assert fuse_step_inplace(code.program, contract=False).nests_fused == 0
 
 
 @common

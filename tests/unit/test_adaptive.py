@@ -99,9 +99,7 @@ def _vm_run_span(program="adapt", backend="vector", steps=10, wall=1e-3):
             "parent_id": "p" * 16, "start_unix": 0.0,
             "wall_seconds": wall, "cpu_seconds": wall, "pid": 1, "tid": 1,
             "attrs": {"backend": backend, "program": program,
-                      "steps": steps, "fuse": True,
-                      "fusion_nests_fused": 0,
-                      "fusion_buffers_contracted": 0}}
+                      "steps": steps}}
 
 
 class TestOverheadCalibration:
@@ -220,9 +218,10 @@ class TestPromotionExecution:
         names = {s["name"] for s in events[0].get("spans", ())}
         assert "native.promote" in names
         assert ctl.drain_events() == []  # drained exactly once
-        # The promoted VM was pre-installed: cached_vm(auto) is a pure hit.
+        # The promoted VM was pre-installed for the program as it runs
+        # (fuse=False, the serve layer's call): cached_vm(auto) is a hit.
         hits = vm_cache_stats()["hits"]
-        vm = cached_vm(p, backend="auto", fuse=True)
+        vm = cached_vm(p, backend="auto", fuse=False)
         assert vm.backend == "native"
         assert vm_cache_stats()["hits"] == hits + 1
 
@@ -260,12 +259,6 @@ class TestInterpOverlay:
         assert promotion_state(fp) == "demoted"
         assert promote_fingerprint(fp) is False  # demotion wins forever
         assert promotion_state(fp) == "demoted"
-
-    def test_promotion_keyed_by_fuse_flag(self):
-        fp = "a" * 40
-        promote_fingerprint(fp, fuse=True)
-        assert promotion_state(fp, fuse=True) == "promoted"
-        assert promotion_state(fp, fuse=False) == "none"
 
     def test_install_cached_vm_swaps_entry(self):
         p = make_program()
@@ -318,7 +311,7 @@ class TestHeatPersistence:
                                  heat_store=heat)
         p = make_program()
         ctl.observe(p, steps=10, batch=2, model_name="adapt")
-        record = heat.load(fingerprint(p), True)
+        record = heat.load(fingerprint(p))
         assert record is not None
         assert record["heat"] == pytest.approx(20.0, rel=0.01)
         assert record["invocations"] == 1
@@ -341,7 +334,7 @@ class TestHeatPersistence:
                                     heat_store=heat)
         status = second.observe(p, steps=1)
         assert status["heat"] > 100.0
-        entry = second._entries[(fingerprint(p), True)]
+        entry = second._entries[fingerprint(p)]
         assert entry.invocations >= 3
 
     def test_seeded_heat_decays_by_wall_clock_age(self, tmp_path):
@@ -349,8 +342,8 @@ class TestHeatPersistence:
         p = make_program()
         fp = fingerprint(p)
         # A record an hour old with a 1s half-life is stone cold.
-        heat.save(fp, True, {"heat": 1e6, "updated_at": time.time() - 3600,
-                             "invocations": 100})
+        heat.save(fp, {"heat": 1e6, "updated_at": time.time() - 3600,
+                       "invocations": 100})
         ctl = AdaptiveController(
             AdaptiveConfig(threshold_ms=1e12, half_life_seconds=1.0),
             heat_store=heat)
@@ -360,7 +353,7 @@ class TestHeatPersistence:
     def test_garbage_record_is_ignored(self, tmp_path):
         heat = self._store(tmp_path)
         p = make_program()
-        heat.save(fingerprint(p), True,
+        heat.save(fingerprint(p),
                   {"heat": "not-a-number", "invocations": True})
         ctl = AdaptiveController(AdaptiveConfig(threshold_ms=1e12),
                                  heat_store=heat)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.codegen import FrodoGenerator, make_generator
-from repro.codegen.fusion import fuse_elementwise_loops
 from repro.ir.build import add, const, load, mul, var
+from repro.ir.fuse import fuse_step_inplace
 from repro.ir.interp import execute
 from repro.ir.ops import Assign, Comment, For, Program
 
@@ -27,21 +27,21 @@ def two_loop_program(start2=0, stop2=8):
 class TestFusionMechanics:
     def test_fuses_matching_loops(self):
         p = two_loop_program()
-        assert fuse_elementwise_loops(p) == 1
+        assert fuse_step_inplace(p, contract=False).nests_fused == 1
         assert p.loop_count == 1
 
     def test_fused_semantics_preserved(self):
         p = two_loop_program()
         u = np.arange(8.0)
         before = execute(two_loop_program(), {"u": u}).outputs["y"]
-        fuse_elementwise_loops(p)
+        fuse_step_inplace(p, contract=False)
         after = execute(p, {"u": u}).outputs["y"]
         np.testing.assert_allclose(after, before)
 
     def test_producer_consumer_order_within_iteration(self):
         """The fused body must read a[i] *after* writing it."""
         p = two_loop_program()
-        fuse_elementwise_loops(p)
+        fuse_step_inplace(p, contract=False)
         result = execute(p, {"u": np.ones(8)})
         np.testing.assert_allclose(result.outputs["y"], np.full(8, 3.0))
 
@@ -49,7 +49,7 @@ class TestFusionMechanics:
         """A consumer covering a sub-range of the producer fuses over the
         intersection; the producer's remainder runs in a peeled loop."""
         p = two_loop_program(start2=1, stop2=8)
-        assert fuse_elementwise_loops(p) == 1
+        assert fuse_step_inplace(p, contract=False).nests_fused == 1
         assert p.loop_count == 2  # peel ([0,1)) + fused ([1,8))
         u = np.arange(8.0)
         before = execute(two_loop_program(start2=1, stop2=8),
@@ -79,7 +79,7 @@ class TestFusionMechanics:
             return p
 
         p = build()
-        assert fuse_elementwise_loops(p) == 1
+        assert fuse_step_inplace(p, contract=False).nests_fused == 1
         u = np.arange(8.0)
         before = execute(build(), {"u": u}, fuse=False).outputs["y"]
         after = execute(p, {"u": u}, fuse=False).outputs["y"]
@@ -99,13 +99,13 @@ class TestFusionMechanics:
             "y", var("j"),
             add(load("a", add(var("j"), const(1))), const(1.0)))],
             vectorizable=True))
-        assert fuse_elementwise_loops(p) == 0
+        assert fuse_step_inplace(p, contract=False).nests_fused == 0
         assert p.loop_count == 2
 
     def test_comments_between_loops_do_not_block(self):
         p = two_loop_program()
         p.step.insert(1, Comment("between"))
-        assert fuse_elementwise_loops(p) == 1
+        assert fuse_step_inplace(p, contract=False).nests_fused == 1
 
     def test_scalar_read_of_written_buffer_blocks_fusion(self):
         """Reading a[0] inside the second loop would observe a half-written
@@ -119,7 +119,7 @@ class TestFusionMechanics:
         p.step.append(For("j", 0, 8, [Assign(
             "y", var("j"), add(load("a", var("j")), load("a", const(0))))],
             vectorizable=True))
-        assert fuse_elementwise_loops(p) == 0
+        assert fuse_step_inplace(p, contract=False).nests_fused == 0
 
     def test_nested_body_fuses_when_writes_stay_bare(self):
         """A loop with an inner nest merges with an elementwise sibling
@@ -137,7 +137,7 @@ class TestFusionMechanics:
             return p
 
         p = build()
-        assert fuse_elementwise_loops(p) == 1
+        assert fuse_step_inplace(p, contract=False).nests_fused == 1
         u = np.arange(8.0)
         before = execute(build(), {"u": u}, fuse=False).outputs["y"]
         after = execute(p, {"u": u}, fuse=False).outputs["y"]
@@ -155,7 +155,7 @@ class TestFusionMechanics:
         p.step.append(For("i", 0, 8, [inner]))
         p.step.append(For("j", 0, 8, [Assign(
             "y", var("j"), load("u", var("j")))], vectorizable=True))
-        assert fuse_elementwise_loops(p) == 0
+        assert fuse_step_inplace(p, contract=False).nests_fused == 0
 
     def test_chain_of_three_fuses_twice(self):
         p = Program("t")
@@ -168,7 +168,7 @@ class TestFusionMechanics:
                 dst, var(f"i_{dst}"),
                 add(load(src, var(f"i_{dst}")), const(1.0)))],
                 vectorizable=True))
-        assert fuse_elementwise_loops(p) == 2
+        assert fuse_step_inplace(p, contract=False).nests_fused == 2
         assert p.loop_count == 1
         result = execute(p, {"u": np.zeros(8)})
         np.testing.assert_allclose(result.outputs["y"], np.full(8, 3.0))

@@ -43,11 +43,82 @@ class TestCompile:
              "include_source": True}, cache)
         assert "#include <math.h>" in result["c_source"]
 
-    def test_backend_partitions_cache(self, cache):
+    def test_backends_share_one_artifact(self, cache):
         base = {"op": "compile", "model": "Motivating"}
-        handle_request({**base, "backend": "auto"}, cache)
-        _, meta = handle_request({**base, "backend": "closure"}, cache)
+        _, meta = handle_request({**base, "backend": "auto"}, cache)
         assert meta["artifact_cache"] == "miss"
+        _, meta = handle_request({**base, "backend": "closure"}, cache)
+        assert meta["artifact_cache"] == "hit"
+
+
+class TestFuseOnce:
+    """An artifact stores the fused program, so a compiled program is
+    fused once and every consumer runs or emits it as stored."""
+
+    @pytest.fixture()
+    def fuse_calls(self, monkeypatch):
+        import repro.ir.fuse as fuse_module
+        from repro.ir.interp import clear_vm_cache
+        clear_vm_cache()  # a warm VM from another test would hide a fusion
+        calls = []
+        real = fuse_module.fuse_program
+
+        def counting(program, **kwargs):
+            calls.append(program.name)
+            return real(program, **kwargs)
+
+        monkeypatch.setattr(fuse_module, "fuse_program", counting)
+        yield calls
+        clear_vm_cache()
+
+    @pytest.mark.parametrize("req", [
+        {"op": "run", "model": "Simpson"},
+        {"op": "compile", "model": "Simpson", "include_source": True}])
+    def test_cold_request_fuses_once(self, cache, fuse_calls, req):
+        _, meta = handle_request(req, cache)
+        assert meta["artifact_cache"] == "miss"
+        assert len(fuse_calls) == 1
+
+    def test_native_after_auto_reuses_the_artifact(self, cache, fuse_calls):
+        from repro.native import find_compiler
+        if find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        req = {"op": "run", "model": "Simpson", "include_outputs": False}
+        auto, meta = handle_request({**req, "backend": "auto"}, cache)
+        assert meta["artifact_cache"] == "miss"
+        del fuse_calls[:]
+        native, meta = handle_request({**req, "backend": "native"}, cache)
+        assert meta["artifact_cache"] == "hit"
+        assert fuse_calls == []
+        assert native["backend_effective"] == "native"
+        assert native["output_sha256"] == auto["output_sha256"]
+        assert native["fusion"] == auto["fusion"]
+
+    def test_fusion_total_counts_each_compiled_artifact_once(self, cache):
+        from repro.serve.server import ReproServer, ServeConfig
+        server = ReproServer(ServeConfig(workers=0))
+        req = {"op": "run", "model": "Simpson", "include_outputs": False}
+        for backend in ("auto", "closure"):
+            result, meta = handle_request({**req, "backend": backend}, cache)
+            server._record_cache_meta(meta)
+        totals = {row["labels"]["stat"]: row["value"] for row
+                  in server.metrics.snapshot()["fusion_total"]}
+        assert totals["nests_fused"] == result["fusion"]["nests_fused"] > 0
+
+    def test_include_source_is_the_stored_fused_program(self, cache):
+        from repro.codegen import emit_c, make_generator
+        from repro.serve.handlers import get_or_compile
+        from repro.zoo import build_model
+        result, _ = handle_request({"op": "compile", "model": "Simpson",
+                                    "include_source": True}, cache)
+        model = build_model("Simpson")
+        artifact, source = get_or_compile(
+            model, result["model_fingerprint"], "frodo", cache)
+        assert source == "hit"
+        assert result["c_source"] == emit_c(artifact.program)
+        generated = make_generator("frodo").generate(model).program
+        assert artifact.program.loop_count < generated.loop_count
+        assert result["stats"]["fusion"]["nests_fused"] >= 1
 
 
 class TestRun:

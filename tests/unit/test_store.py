@@ -17,7 +17,7 @@ from repro.native.sharedlib import pack_native, unpack_native
 from repro.serve.cache import (ArtifactCache, artifact_key, pack_artifact,
                                unpack_artifact)
 from repro.serve.store import (HeatStore, RemoteStore, StoreServer,
-                               TieredStore, heat_key)
+                               TieredStore)
 from tests.unit.test_serve_cache import _make_artifact
 
 #: Each stored file carries the payload's sha256 in front of it.
@@ -194,24 +194,20 @@ class TestSharedArtifactCache:
 class TestHeatStore:
     def test_roundtrip_local(self, tmp_path):
         heat = HeatStore(LocalStore(tmp_path))
-        assert heat.load("f" * 32, True) is None
-        heat.save("f" * 32, True, {"heat": 12.5, "invocations": 3})
-        record = heat.load("f" * 32, True)
+        assert heat.load("f" * 32) is None
+        heat.save("f" * 32, {"heat": 12.5, "invocations": 3})
+        record = heat.load("f" * 32)
         assert record == {"heat": 12.5, "invocations": 3}
 
     def test_roundtrip_remote(self, remote):
         heat = HeatStore(remote)
-        heat.save("a" * 32, False, {"heat": 1.0})
-        assert heat.load("a" * 32, False) == {"heat": 1.0}
-
-    def test_key_separates_fuse(self):
-        assert heat_key("f" * 32, True) != heat_key("f" * 32, False)
+        heat.save("a" * 32, {"heat": 1.0})
+        assert heat.load("a" * 32) == {"heat": 1.0}
 
     def test_failures_are_soft(self):
         heat = HeatStore(RemoteStore("127.0.0.1", 1, timeout=0.2))
-        assert heat.load("b" * 32, True) is None
-        assert heat.save("b" * 32, True, {"heat": 1.0}) is False
-        assert heat.errors == 2
+        assert heat.load("b" * 32) is None
+        assert heat.save("b" * 32, {"heat": 1.0}) is False
 
     def test_cluster_shards_keep_heat_on_the_shared_store(
             self, tmp_path, store_server):
@@ -223,8 +219,8 @@ class TestHeatStore:
                                          store=store_server.address))
                  for name in ("a", "b")]
         heat_a, heat_b = (_heat_store(cache) for cache in shard)
-        heat_b.save("c" * 32, True, {"heat": 1.0})
-        assert heat_b.load("c" * 32, True) == {"heat": 1.0}
-        heat_a.save("c" * 32, True, {"heat": 9.0})
-        assert heat_b.load("c" * 32, True) == {"heat": 9.0}
+        heat_b.save("c" * 32, {"heat": 1.0})
+        assert heat_b.load("c" * 32) == {"heat": 1.0}
+        heat_a.save("c" * 32, {"heat": 9.0})
+        assert heat_b.load("c" * 32) == {"heat": 9.0}
         assert not os.path.exists(tmp_path / "b" / "heat")
